@@ -6,7 +6,7 @@ Usage:
 
 perf_smoke emits one row per configuration (the "config" field): a "default"
 single-shard row plus a shard-scaling pair ("scale_seq" / "scale_par") that
-runs the same larger world sequentially and sharded. Three gates:
+runs the same larger world sequentially and sharded. Four gates:
 
  1. Rate regression — the default row's wall-clock rates (events/s, rpcs/s)
     must not drop more than --max-regression vs the baseline row with the
@@ -20,6 +20,10 @@ runs the same larger world sequentially and sharded. Three gates:
     >= 4x with 8+ effective cores, >= 2x with 4+, >= 1.2x with 2+; skipped on
     single-core hosts, where the worker pool collapses to one thread and the
     window loop can only break even.
+ 4. Baseline trace — the default row's event count, RPC count and trace hash
+    must equal the baseline row's exactly. The simulation is deterministic,
+    so any difference is a change to the simulated trace; a change that
+    alters it on purpose refreshes the baseline and says why.
 
 Passing --conn-storm=PATH additionally gates the connection-storm bench
 (DESIGN.md §13) from its JSON dump: the optimized configuration's p99
@@ -60,7 +64,8 @@ GATED_METRICS = ("events_per_sec", "rpcs_per_sec")
 # the kernel, not a wall-clock rate; it moves only when event batching
 # changes, and such a change must update the baseline deliberately).
 INFO_METRICS = ("events_per_rpc", "sim_mops", "peak_rss_kb")
-# Fields that must be bit-identical between the sequential and sharded run.
+# Fields that must be bit-identical between the sequential and sharded run,
+# and between the default row and its baseline.
 IDENTITY_FIELDS = ("events", "rpcs", "trace_hash")
 
 
@@ -106,6 +111,21 @@ def check_rates(base, cur, max_regression):
     return failed
 
 
+def check_identity(title, names, a, b, tag, mark):
+    """Fails every IDENTITY_FIELDS entry that differs between rows a and b
+    (or is missing from a), printing the two side by side."""
+    failed = []
+    print(f"\n{title:<18} {names[0]:>22} {names[1]:>22}")
+    for field in IDENTITY_FIELDS:
+        x, y = a.get(field), b.get(field)
+        note = ""
+        if x is None or x != y:
+            failed.append(f"{tag}:{field}")
+            note = f"  << {mark}"
+        print(f"{field:<18} {str(x):>22} {str(y):>22}{note}")
+    return failed
+
+
 def check_scaling(cur_rows):
     seq = cur_rows.get("scale_seq")
     par = cur_rows.get("scale_par")
@@ -113,16 +133,8 @@ def check_scaling(cur_rows):
         print("\nscaling pair: not present in current run (perf_smoke "
               "--scale=0?); identity and speedup gates skipped")
         return []
-    failed = []
-
-    print(f"\n{'identity':<18} {'sequential':>22} {'sharded':>22}")
-    for field in IDENTITY_FIELDS:
-        s, p = seq.get(field), par.get(field)
-        mark = ""
-        if s != p:
-            failed.append(f"identity:{field}")
-            mark = "  << TRACE DIVERGED"
-        print(f"{field:<18} {str(s):>22} {str(p):>22}{mark}")
+    failed = check_identity("identity", ("sequential", "sharded"), seq, par,
+                            "identity", "TRACE DIVERGED")
 
     host_cpus = int(par.get("host_cpus", 0))
     shards = int(par.get("shards", 1))
@@ -386,6 +398,9 @@ def main():
 
     failed = check_rates(base_rows["default"], cur_rows["default"],
                          args.max_regression)
+    failed += check_identity("baseline trace", ("baseline", "current"),
+                             base_rows["default"], cur_rows["default"],
+                             "baseline", "TRACE CHANGED")
     failed += check_scaling(cur_rows)
     if args.conn_storm:
         failed += check_conn_storm(args.conn_storm, args.min_ttfr_improvement,
@@ -406,8 +421,8 @@ def main():
               file=sys.stderr)
         return 1
     print("\nOK: rates within "
-          f"{args.max_regression:.0%}, sharded trace identical, speedup gate "
-          "satisfied")
+          f"{args.max_regression:.0%}, default trace equals the baseline, "
+          "sharded trace identical, speedup gate satisfied")
     return 0
 
 

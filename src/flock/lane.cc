@@ -190,7 +190,7 @@ std::unique_ptr<ClientLane> BuildClientLane(NodeEnv& env, ClientConnState& conn,
       cl->resp_ring_addr = shell.resp_ring_addr;
       cl->resp_ring_rkey = shell.resp_ring_rkey;
       cl->ctrl_slot_rkey = shell.ctrl_slot_rkey;
-      std::memset(cmem.At(cl->resp_ring_addr), 0, ring_bytes);
+      cmem.Zero(cl->resp_ring_addr, ring_bytes);
       std::memset(cmem.At(cl->ctrl_slot_addr), 0, 8);
       cl->resp_consumer = std::make_unique<RingConsumer>(
           cmem.At(cl->resp_ring_addr), ring_bytes);
@@ -294,7 +294,7 @@ std::unique_ptr<ServerLane> BuildServerLane(NodeEnv& env, ServerState& server,
       sl->ctrl_src_ptr = smem.At(shell.ctrl_src_addr);
       sl->staging_addr = shell.staging_addr;
       sl->staging = smem.At(shell.staging_addr);
-      std::memset(smem.At(sl->req_ring_addr), 0, ring_bytes);
+      smem.Zero(sl->req_ring_addr, ring_bytes);
       std::memset(smem.At(sl->head_slot_addr), 0, 8);
       sl->req_consumer = std::make_unique<RingConsumer>(
           smem.At(sl->req_ring_addr), ring_bytes);
@@ -516,7 +516,7 @@ uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
   // client's fresh consumer. The client mirrors this before any sim event
   // runs (ControlPlane::Call is synchronous), so neither side can observe the
   // other half-resynced.
-  std::memset(smem.At(lane.req_ring_addr), 0, ring_bytes);
+  smem.Zero(lane.req_ring_addr, ring_bytes);
   lane.req_consumer =
       std::make_unique<RingConsumer>(smem.At(lane.req_ring_addr), ring_bytes);
   lane.resp_producer = RingProducer(ring_bytes);
@@ -873,7 +873,7 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
     // from zero, credits and cumulative-grant resync from the accept.
     fabric::MemorySpace& cmem = conn.env->mem();
     const uint32_t ring_bytes = victim->req_producer.size();
-    std::memset(cmem.At(victim->resp_ring_addr), 0, ring_bytes);
+    cmem.Zero(victim->resp_ring_addr, ring_bytes);
     victim->resp_consumer = std::make_unique<RingConsumer>(
         cmem.At(victim->resp_ring_addr), ring_bytes);
     victim->req_producer = RingProducer(ring_bytes);

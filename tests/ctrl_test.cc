@@ -158,6 +158,105 @@ TEST(CtrlTest, RepeatedKillsOnSameLaneKeepRecovering) {
   EXPECT_GE(world.server->server_stats().lane_reconnects, 2u);
 }
 
+// A lane's rings must start clean whenever a fresh consumer is put over them
+// (reconnect resync, recycled shell), or bytes of the previous incarnation
+// could pass for a message. Consumers zero every message they release, so
+// once traffic has drained, a ring whose every byte is zero held nothing
+// stale. The tests scribble junk over a ring just before it is reused and
+// check that none of it survives.
+void ScribbleRing(fabric::MemorySpace& mem, uint64_t addr) {
+  const std::vector<uint8_t> junk(FlockConfig{}.ring_bytes, 0xa5);
+  mem.Write(addr, junk.data(), junk.size());
+}
+
+bool RingIsZero(const fabric::MemorySpace& mem, uint64_t addr) {
+  std::vector<uint8_t> bytes(FlockConfig{}.ring_bytes);
+  mem.Read(addr, bytes.data(), bytes.size());
+  return std::all_of(bytes.begin(), bytes.end(), [](uint8_t b) { return b == 0; });
+}
+
+sim::Proc ScribbleAt(verbs::Cluster& cluster, Nanos at, uint64_t resp_ring,
+                     uint64_t req_ring) {
+  co_await sim::Delay(cluster.sim(), at);
+  ScribbleRing(cluster.mem(1), resp_ring);
+  ScribbleRing(cluster.mem(0), req_ring);
+}
+
+TEST(CtrlTest, ReconnectResyncClearsStaleRingBytes) {
+  CtrlWorld world;
+  Connection* conn = world.clients[0]->Connect(*world.server, 2);
+  int ok = 0, fail = 0;
+  for (int t = 0; t < 2; ++t) {
+    world.cluster.sim().Spawn(
+        EchoLoop(conn, world.clients[0]->CreateThread(t), 500, &ok, &fail));
+  }
+  world.cluster.fault().KillQpAt(200 * kMicrosecond, /*node=*/1,
+                                 conn->lane(0).qp->qpn());
+  // Between the kill and the resync nothing writes lane 0's rings, so the
+  // junk is still there when both sides put fresh consumers over them.
+  world.cluster.sim().Spawn(ScribbleAt(world.cluster, 201 * kMicrosecond,
+                                       conn->lane(0).resp_ring_addr,
+                                       conn->lane(0).remote_ring_addr));
+  world.cluster.sim().RunFor(50 * kMillisecond);
+
+  EXPECT_EQ(ok, 2 * 500);
+  EXPECT_EQ(fail, 0);
+  EXPECT_GE(conn->lane_reconnects(), 1u);
+  EXPECT_EQ(conn->CountLaneStates().healthy, 2u);
+  EXPECT_TRUE(RingIsZero(world.cluster.mem(1), conn->lane(0).resp_ring_addr));
+  EXPECT_TRUE(RingIsZero(world.cluster.mem(0), conn->lane(0).remote_ring_addr));
+}
+
+sim::Proc ScribbledRecycleCycles(verbs::Cluster& cluster, FlockRuntime& client,
+                                 FlockThread* thread, int cycles, int* ok,
+                                 int* clean, bool* done) {
+  ctrl::ControlPlane& cp = ctrl::ControlPlane::For(cluster);
+  std::vector<uint8_t> resp;
+  for (int c = 0; c < cycles; ++c) {
+    cp.Join(client.node());
+    Connection* conn = co_await client.ConnectAsync(/*server_node=*/0, 1);
+    uint64_t payload = static_cast<uint64_t>(c);
+    if (co_await conn->Call(*thread, kEchoRpc,
+                            reinterpret_cast<const uint8_t*>(&payload), 8, &resp)) {
+      *ok += 1;
+    }
+    co_await sim::Delay(cluster.sim(), 1 * kMicrosecond);
+    const uint64_t resp_ring = conn->lane(0).resp_ring_addr;
+    const uint64_t req_ring = conn->lane(0).remote_ring_addr;
+    if (RingIsZero(cluster.mem(1), resp_ring) && RingIsZero(cluster.mem(0), req_ring)) {
+      *clean += 1;
+    }
+    client.CloseConnection(conn);
+    cp.Leave(client.node());
+    // Both shells are pooled now (Close harvests the client's, Leave the
+    // server's); the next connect draws them back.
+    ScribbleRing(cluster.mem(1), resp_ring);
+    ScribbleRing(cluster.mem(0), req_ring);
+  }
+  *done = true;
+}
+
+TEST(CtrlTest, RecycledShellsStartWithCleanRings) {
+  FlockConfig server_cfg;
+  server_cfg.qp_recycling = true;
+  FlockConfig client_cfg;
+  client_cfg.qp_recycling = true;
+  CtrlWorld world(2, server_cfg, client_cfg);
+  ctrl::ControlPlane::For(world.cluster).Leave(1);
+  int ok = 0, clean = 0;
+  bool done = false;
+  world.cluster.sim().Spawn(ScribbledRecycleCycles(
+      world.cluster, *world.clients[0], world.clients[0]->CreateThread(0), 5, &ok,
+      &clean, &done));
+  world.cluster.sim().RunFor(50 * kMillisecond);
+
+  ASSERT_TRUE(done);
+  EXPECT_EQ(ok, 5);
+  EXPECT_EQ(clean, 5) << "a recycled lane kept its previous occupant's bytes";
+  EXPECT_GE(world.server->server_stats().qps_recycled, 4u);
+  EXPECT_GE(world.clients[0]->client_stats().qps_recycled, 4u);
+}
+
 // ---------------------------------------------------------------------------
 // Membership: leave reclaims, rejoin restores lanes and AQP share
 // ---------------------------------------------------------------------------
