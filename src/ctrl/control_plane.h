@@ -1,7 +1,8 @@
 // The connection control plane (DESIGN.md §10): a deterministic, cluster-wide
 // service owning connection lifecycle — connect/accept handshakes with MR
 // rkey exchange and credit bootstrap, QP re-establishment for quarantined
-// lanes, elastic lane add/retire, and dynamic membership (join/leave/rejoin).
+// lanes, lazy lane add, orderly disconnect, and dynamic membership
+// (join/leave/rejoin).
 //
 // It models the out-of-band channel real deployments run over RDMA-CM/TCP:
 // message delivery is a synchronous function call into the destination
@@ -25,7 +26,7 @@
 namespace flock::ctrl {
 
 // A per-node handler for control-plane messages. The Flock runtime implements
-// this to answer connect/reconnect/add-lane/retire-lane requests.
+// this to answer connect/reconnect/add-lane/disconnect requests.
 class Endpoint {
  public:
   virtual ~Endpoint() = default;

@@ -327,7 +327,7 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
           requeued = true;  // queue is empty now: park at the loop top
           break;
         }
-        if (lane.failed) {
+        if (lane.failed()) {
           // Quarantined with nowhere to migrate: drop the queued sends and
           // release their waiters. The RPCs stay pending — the retry watchdog
           // retransmits them (or fails them) on whatever lane survives.

@@ -9,18 +9,49 @@ namespace flock {
 namespace internal {
 
 // ---------------------------------------------------------------------------
-// Quarantine and lane selection
+// Lane lifecycle, quarantine and lane selection
 // ---------------------------------------------------------------------------
 
-void QuarantineLane(ClientConnState& conn, ClientLane& lane) {
-  if (lane.failed) {
-    return;
+namespace {
+
+// Both indexed by LaneState; kLegalLaneEdge[from][to] holds the edges drawn
+// at LaneState (lane.h).
+constexpr const char* kLaneStateNames[] = {"Healthy", "Quarantined", "Reconnecting",
+                                           "Retired"};
+constexpr bool kLegalLaneEdge[4][4] = {
+    //                Healthy Quarantined Reconnecting Retired
+    /* Healthy      */ {false, true, false, true},
+    /* Quarantined  */ {false, false, true, true},
+    /* Reconnecting */ {true, true, false, true},
+    /* Retired      */ {false, false, false, false},
+};
+
+}  // namespace
+
+void SetLaneState(ClientLane& lane, LaneState next) {
+  const LaneState prev = lane.state;
+  const auto from = static_cast<size_t>(prev);
+  const auto to = static_cast<size_t>(next);
+  FLOCK_CHECK(kLegalLaneEdge[from][to])
+      << "illegal lane transition " << kLaneStateNames[from] << " -> "
+      << kLaneStateNames[to] << " on lane " << lane.index;
+  lane.state = next;
+  if (prev == LaneState::kHealthy && next == LaneState::kQuarantined) {
+    lane.conn->client->stats.lane_failures += 1;
+  } else if (prev == LaneState::kReconnecting && next == LaneState::kHealthy) {
+    lane.reconnects += 1;
+    lane.conn->client->stats.lane_reconnects += 1;
   }
-  lane.failed = true;
+}
+
+void QuarantineLane(ClientConnState& conn, ClientLane& lane) {
+  if (lane.state != LaneState::kHealthy) {
+    return;  // already failed, or retired by close (terminal)
+  }
+  SetLaneState(lane, LaneState::kQuarantined);
   lane.active = false;
   lane.credits = 0;
   lane.renew_in_flight = false;
-  conn.client->stats.lane_failures += 1;
   // Remember which threads this lane was serving so a later reconnect can
   // send exactly those threads back. Pulling only the evacuees home keeps
   // every surviving lane's thread set — and with it the phase-aligned
@@ -70,7 +101,7 @@ ClientLane& LaneFor(ClientConnState& conn, FlockThread& thread) {
       // Server guarantees >= 1 active in healthy operation, so this is
       // transient; prefer any surviving lane over a quarantined one.
       for (uint32_t i = 0; i < conn.lanes.size(); ++i) {
-        if (!conn.lanes[i]->failed && !conn.lanes[i]->retired) {
+        if (conn.lanes[i]->state == LaneState::kHealthy) {
           active.push_back(i);
           break;
         }
@@ -98,20 +129,25 @@ void QuarantineServerLane(ServerLane& lane, ServerStats& stats) {
   stats.lane_failures += 1;
 }
 
+namespace {
+
+// A completion from a QP the lane no longer owns: one a reconnect already
+// replaced (qpns are never reused), or one harvested into the recycling pool
+// (qp == nullptr: the lane is closed or graveyard-parked and must not be
+// "re-quarantined", which would bump failure counters for a teardown that
+// already ran).
+bool IsStaleCompletion(const verbs::Completion& wc, const verbs::Qp* qp) {
+  return qp == nullptr || (wc.qpn != 0 && wc.qpn != qp->qpn());
+}
+
+}  // namespace
+
 void HandleSendError(const verbs::Completion& wc, ServerStats& stats) {
   switch (WrIdTag(wc.wr_id)) {
     case WrTag::kRpcWrite:
     case WrTag::kCtrl: {
       auto* lane = WrIdPtr<ClientLane>(wc.wr_id);
-      // Ignore stale flushes from a QP that a reconnect already replaced, or
-      // from a lane whose QP was harvested into the recycling pool (qp is
-      // nullptr then — the lane is closed and must not be "re-quarantined",
-      // which would bump failure counters for a teardown that already ran).
-      if (lane->qp == nullptr ||
-          (wc.qpn != 0 && wc.qpn != lane->qp->qpn())) {
-        break;
-      }
-      if (IsFatalWcStatus(wc.status)) {
+      if (!IsStaleCompletion(wc, lane->qp) && IsFatalWcStatus(wc.status)) {
         QuarantineLane(*lane->conn, *lane);
       }
       // Transient statuses (RNR, remote access): the write was lost on the
@@ -121,10 +157,7 @@ void HandleSendError(const verbs::Completion& wc, ServerStats& stats) {
     case WrTag::kServerWrite:
     case WrTag::kServerCtrl: {
       auto* lane = WrIdPtr<ServerLane>(wc.wr_id);
-      // A graveyard lane (qp harvested into the pool) is always stale here.
-      const bool stale =
-          lane->qp == nullptr || (wc.qpn != 0 && wc.qpn != lane->qp->qpn());
-      if (!stale && IsFatalWcStatus(wc.status)) {
+      if (!IsStaleCompletion(wc, lane->qp) && IsFatalWcStatus(wc.status)) {
         QuarantineServerLane(*lane, stats);
       }
       if (WrIdTag(wc.wr_id) == WrTag::kServerWrite) {
@@ -137,24 +170,134 @@ void HandleSendError(const verbs::Completion& wc, ServerStats& stats) {
   }
 }
 
-void ExpireLaneDeadlines(ClientConnState& conn, uint32_t lane_index) {
-  const Nanos now = conn.env->sim().Now();
-  for (auto& map : conn.pending) {
-    map.ForEach([&](uint32_t, PendingRpc* rpc) {
-      if (rpc->deadline > 0 && rpc->lane_index == lane_index) {
-        rpc->deadline = std::min(rpc->deadline, now);
-      }
-    });
+// ---------------------------------------------------------------------------
+// Building, wiring, resetting and harvesting lane halves
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Receives posted per lane for control write-with-imm messages.
+constexpr int kLaneRecvs = 16;
+
+void PostLaneRecvs(NodeEnv& env, verbs::Qp& qp, uint64_t wr_id) {
+  for (int r = 0; r < kLaneRecvs; ++r) {
+    env.transport->PostRecv(qp, verbs::RecvWr{wr_id, 0, 0});
   }
 }
 
-// ---------------------------------------------------------------------------
-// Building and wiring lane halves (fl_connect, reconnect, elastic add)
-// ---------------------------------------------------------------------------
+// The client-local coordinates a lane advertises in a handshake.
+void DescribeClientLane(const ClientLane& lane, ctrl::wire::ClientLaneInfo* info) {
+  info->qpn = lane.qp->qpn();
+  info->resp_ring_addr = lane.resp_ring_addr;
+  info->resp_ring_rkey = lane.resp_ring_rkey;
+  info->ctrl_slot_addr = lane.ctrl_slot_addr;
+  info->ctrl_slot_rkey = lane.ctrl_slot_rkey;
+}
+
+// The server-local coordinates and §5.1 bootstrap (activation, initial
+// credits) a lane advertises in a handshake accept.
+void DescribeServerLane(const ServerLane& lane, ctrl::wire::ServerLaneInfo* out) {
+  out->qpn = lane.qp->qpn();
+  out->req_ring_addr = lane.req_ring_addr;
+  out->req_ring_rkey = lane.req_ring_rkey;
+  out->head_slot_addr = lane.head_slot_addr;
+  out->head_slot_rkey = lane.head_slot_rkey;
+  out->active = lane.active ? 1 : 0;
+  out->credits = static_cast<uint32_t>(lane.credits_outstanding);
+}
+
+// Pops the most recently harvested shell of matching geometry (LIFO keeps
+// the hot shell hot); shells of another ring size stay pooled.
+template <typename Shell>
+bool TakeShell(std::vector<Shell>& pool, uint32_t ring_bytes, Shell* out) {
+  for (size_t i = pool.size(); i-- > 0;) {
+    if (pool[i].ring_bytes == ring_bytes) {
+      *out = pool[i];
+      pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(i));
+      return true;
+    }
+  }
+  return false;
+}
+
+// Ring reset, one per role, for a recycled shell or a revived lane: both
+// directions restart at sequence zero. The consumed ring is zeroed (no ghost
+// canaries for the fresh RingConsumer) and the peer-written slot cleared, so
+// an unwired client lane's dispatcher reads a no-op grant and a server head
+// slot matches the client's fresh zero-based response consumer.
+void ResetClientRings(fabric::MemorySpace& mem, ClientLane& lane) {
+  const uint32_t ring_bytes = lane.req_producer.size();
+  mem.Zero(lane.resp_ring_addr, ring_bytes);
+  std::memset(mem.At(lane.ctrl_slot_addr), 0, sizeof(CtrlSlot));
+  lane.resp_consumer =
+      std::make_unique<RingConsumer>(mem.At(lane.resp_ring_addr), ring_bytes);
+  lane.req_producer = RingProducer(ring_bytes);
+}
+
+void ResetServerRings(fabric::MemorySpace& mem, ServerLane& lane) {
+  const uint32_t ring_bytes = lane.resp_producer.size();
+  mem.Zero(lane.req_ring_addr, ring_bytes);
+  std::memset(mem.At(lane.head_slot_addr), 0, sizeof(uint64_t));
+  lane.req_consumer =
+      std::make_unique<RingConsumer>(mem.At(lane.req_ring_addr), ring_bytes);
+  lane.resp_producer = RingProducer(ring_bytes);
+}
+
+// Shell harvest (DESIGN.md §13), one per role: reset the lane's QP (anything
+// still in flight from this incarnation epoch-drops in the fabric) and pool
+// its QP, ring/slot memory and rkeys for the next connect to draw. The lane
+// object keeps qp == nullptr, which is what marks late CQEs routed to it
+// through wr_id pointers as stale.
+void HarvestShell(NodeEnv& env, ClientState& client, ClientLane& lane) {
+  env.device().ResetQp(*lane.qp);
+  ClientLaneShell shell;
+  shell.qp = lane.qp;
+  shell.ring_bytes = lane.req_producer.size();
+  shell.staging_addr = lane.staging_addr;
+  shell.head_src_addr = lane.head_src_addr;
+  shell.ctrl_slot_addr = lane.ctrl_slot_addr;
+  shell.resp_ring_addr = lane.resp_ring_addr;
+  shell.resp_ring_rkey = lane.resp_ring_rkey;
+  shell.ctrl_slot_rkey = lane.ctrl_slot_rkey;
+  client.lane_pool.push_back(shell);
+  lane.qp = nullptr;
+}
+
+// The server lane object additionally leaves its dispatcher and is parked in
+// the graveyard (see ServerState::graveyard); the caller drops it from its
+// sender.
+void HarvestShell(NodeEnv& env, ServerState& server, ServerLane& lane) {
+  env.device().ResetQp(*lane.qp);
+  ServerLaneShell shell;
+  shell.qp = lane.qp;
+  shell.ring_bytes = lane.resp_producer.size();
+  shell.req_ring_addr = lane.req_ring_addr;
+  shell.head_slot_addr = lane.head_slot_addr;
+  shell.ctrl_src_addr = lane.ctrl_src_addr;
+  shell.staging_addr = lane.staging_addr;
+  shell.req_ring_rkey = lane.req_ring_rkey;
+  shell.head_slot_rkey = lane.head_slot_rkey;
+  server.lane_pool.push_back(shell);
+  lane.qp = nullptr;
+  for (auto& dlanes : server.dispatcher_lanes) {
+    auto it = std::find(dlanes.begin(), dlanes.end(), &lane);
+    if (it != dlanes.end()) {
+      dlanes.erase(it);
+      break;
+    }
+  }
+  const auto owned =
+      std::find_if(server.lanes.begin(), server.lanes.end(),
+                   [&](const auto& l) { return l.get() == &lane; });
+  FLOCK_CHECK(owned != server.lanes.end());
+  server.graveyard.push_back(std::move(*owned));
+  server.lanes.erase(owned);
+}
+
+}  // namespace
 
 std::unique_ptr<ClientLane> BuildClientLane(NodeEnv& env, ClientConnState& conn,
-                                            uint32_t index,
-                                            ctrl::wire::ClientLaneInfo* info) {
+                                            uint32_t index) {
   fabric::MemorySpace& cmem = env.mem();
   const uint32_t ring_bytes = env.config->ring_bytes;
   ClientState& client = *conn.client;
@@ -165,41 +308,24 @@ std::unique_ptr<ClientLane> BuildClientLane(NodeEnv& env, ClientConnState& conn,
   cl->index = index;
   cl->conn = &conn;
 
-  // Recycling (DESIGN.md §13): draw the most recently harvested shell of
-  // matching geometry — LIFO keeps the hot shell hot. The reset QP and the
-  // existing MRs come back as-is; the rings are zeroed so the fresh
-  // RingConsumer sees no ghost canaries from the previous incarnation, and
-  // the control slot is zeroed so a dispatcher polling the still-unwired lane
-  // reads grant_cumulative == grants_seen == 0 (a no-op).
-  bool recycled = false;
-  if (env.config->qp_recycling) {
-    for (size_t i = client.lane_pool.size(); i-- > 0;) {
-      if (client.lane_pool[i].ring_bytes != ring_bytes) {
-        continue;
-      }
-      const ClientLaneShell shell = client.lane_pool[i];
-      client.lane_pool.erase(client.lane_pool.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-      cl->qp = shell.qp;
-      cl->staging_addr = shell.staging_addr;
-      cl->staging = cmem.At(shell.staging_addr);
-      cl->head_src_addr = shell.head_src_addr;
-      cl->head_src_ptr = cmem.At(shell.head_src_addr);
-      cl->ctrl_slot_addr = shell.ctrl_slot_addr;
-      cl->ctrl_slot_ptr = cmem.At(shell.ctrl_slot_addr);
-      cl->resp_ring_addr = shell.resp_ring_addr;
-      cl->resp_ring_rkey = shell.resp_ring_rkey;
-      cl->ctrl_slot_rkey = shell.ctrl_slot_rkey;
-      cmem.Zero(cl->resp_ring_addr, ring_bytes);
-      std::memset(cmem.At(cl->ctrl_slot_addr), 0, 8);
-      cl->resp_consumer = std::make_unique<RingConsumer>(
-          cmem.At(cl->resp_ring_addr), ring_bytes);
-      client.stats.qps_recycled += 1;
-      recycled = true;
-      break;
-    }
-  }
-  if (!recycled) {
+  // Recycling (DESIGN.md §13): the reset QP and the existing MRs of a pooled
+  // shell come back as-is; the rings start over (ResetClientRings).
+  ClientLaneShell shell;
+  if (env.config->qp_recycling &&
+      TakeShell(client.lane_pool, ring_bytes, &shell)) {
+    cl->qp = shell.qp;
+    cl->staging_addr = shell.staging_addr;
+    cl->staging = cmem.At(shell.staging_addr);
+    cl->head_src_addr = shell.head_src_addr;
+    cl->head_src_ptr = cmem.At(shell.head_src_addr);
+    cl->ctrl_slot_addr = shell.ctrl_slot_addr;
+    cl->ctrl_slot_ptr = cmem.At(shell.ctrl_slot_addr);
+    cl->resp_ring_addr = shell.resp_ring_addr;
+    cl->resp_ring_rkey = shell.resp_ring_rkey;
+    cl->ctrl_slot_rkey = shell.ctrl_slot_rkey;
+    ResetClientRings(cmem, *cl);
+    client.stats.qps_recycled += 1;
+  } else {
     cl->qp =
         env.device().CreateQp(verbs::QpType::kRc, env.send_cq, env.recv_cq);
 
@@ -221,12 +347,6 @@ std::unique_ptr<ClientLane> BuildClientLane(NodeEnv& env, ClientConnState& conn,
     cl->ctrl_slot_rkey = ctrl_mr.rkey;
     client.stats.qps_created += 1;
   }
-
-  info->qpn = cl->qp->qpn();
-  info->resp_ring_addr = cl->resp_ring_addr;
-  info->resp_ring_rkey = cl->resp_ring_rkey;
-  info->ctrl_slot_addr = cl->ctrl_slot_addr;
-  info->ctrl_slot_rkey = cl->ctrl_slot_rkey;
   return cl;
 }
 
@@ -238,11 +358,7 @@ void WireClientLane(NodeEnv& env, ClientLane& lane, int server_node,
   lane.remote_ring_rkey = info.req_ring_rkey;
   lane.head_slot_remote_addr = info.head_slot_addr;
   lane.head_slot_rkey = info.head_slot_rkey;
-  // Receives for control write-with-imm messages.
-  for (int r = 0; r < 16; ++r) {
-    env.transport->PostRecv(*lane.qp,
-                            verbs::RecvWr{TagWrId(WrTag::kRecv, &lane), 0, 0});
-  }
+  PostLaneRecvs(env, *lane.qp, TagWrId(WrTag::kRecv, &lane));
   lane.active = info.active != 0;
   lane.credits = info.credits;
   lane.grants_seen = grant_cumulative;
@@ -266,44 +382,29 @@ std::unique_ptr<ServerLane> BuildServerLane(NodeEnv& env, ServerState& server,
   sl->client_node = client_node;
   sl->sender_key = sender_key;
 
-  // Recycling (DESIGN.md §13): reuse the most recently harvested shell of
-  // matching geometry. The request ring is zeroed (no ghost canaries for the
-  // fresh RingConsumer) and the head slot cleared to match the new client's
-  // zero-based response consumer; the QP was reset at harvest, so anything
-  // still in flight from its previous incarnation epoch-drops in the fabric.
+  // Recycling (DESIGN.md §13): a pooled shell's rings start over
+  // (ResetServerRings). The QP was reset at harvest, so anything still in
+  // flight from its previous incarnation epoch-drops in the fabric.
   // Tenancy (§15): the ServerLane object itself is always freshly
   // constructed — shells carry no tenant state, so tenant_id and
   // deferred_grant start zeroed and no quota debt crosses a recycle (see
   // tests/tenant_test.cc RecyclingNoDebt).
-  bool recycled = false;
-  if (env.config->qp_recycling) {
-    for (size_t i = server.lane_pool.size(); i-- > 0;) {
-      if (server.lane_pool[i].ring_bytes != ring_bytes) {
-        continue;
-      }
-      const ServerLaneShell shell = server.lane_pool[i];
-      server.lane_pool.erase(server.lane_pool.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-      sl->qp = shell.qp;
-      sl->req_ring_addr = shell.req_ring_addr;
-      sl->req_ring_rkey = shell.req_ring_rkey;
-      sl->head_slot_addr = shell.head_slot_addr;
-      sl->head_slot_ptr = smem.At(shell.head_slot_addr);
-      sl->head_slot_rkey = shell.head_slot_rkey;
-      sl->ctrl_src_addr = shell.ctrl_src_addr;
-      sl->ctrl_src_ptr = smem.At(shell.ctrl_src_addr);
-      sl->staging_addr = shell.staging_addr;
-      sl->staging = smem.At(shell.staging_addr);
-      smem.Zero(sl->req_ring_addr, ring_bytes);
-      std::memset(smem.At(sl->head_slot_addr), 0, 8);
-      sl->req_consumer = std::make_unique<RingConsumer>(
-          smem.At(sl->req_ring_addr), ring_bytes);
-      server.stats.qps_recycled += 1;
-      recycled = true;
-      break;
-    }
-  }
-  if (!recycled) {
+  ServerLaneShell shell;
+  if (env.config->qp_recycling &&
+      TakeShell(server.lane_pool, ring_bytes, &shell)) {
+    sl->qp = shell.qp;
+    sl->req_ring_addr = shell.req_ring_addr;
+    sl->req_ring_rkey = shell.req_ring_rkey;
+    sl->head_slot_addr = shell.head_slot_addr;
+    sl->head_slot_ptr = smem.At(shell.head_slot_addr);
+    sl->head_slot_rkey = shell.head_slot_rkey;
+    sl->ctrl_src_addr = shell.ctrl_src_addr;
+    sl->ctrl_src_ptr = smem.At(shell.ctrl_src_addr);
+    sl->staging_addr = shell.staging_addr;
+    sl->staging = smem.At(shell.staging_addr);
+    ResetServerRings(smem, *sl);
+    server.stats.qps_recycled += 1;
+  } else {
     sl->qp =
         env.device().CreateQp(verbs::QpType::kRc, env.send_cq, env.recv_cq);
 
@@ -329,22 +430,11 @@ std::unique_ptr<ServerLane> BuildServerLane(NodeEnv& env, ServerState& server,
   sl->ctrl_slot_rkey = in.ctrl_slot_rkey;
   sl->remote_ring_addr = in.resp_ring_addr;
   sl->remote_ring_rkey = in.resp_ring_rkey;
-
-  for (int r = 0; r < 16; ++r) {
-    env.transport->PostRecv(
-        *sl->qp, verbs::RecvWr{TagWrId(WrTag::kServerRecv, sl.get()), 0, 0});
-  }
+  PostLaneRecvs(env, *sl->qp, TagWrId(WrTag::kServerRecv, sl.get()));
 
   sl->active = active;
   sl->credits_outstanding = active ? env.config->credits : 0;
-
-  out->qpn = sl->qp->qpn();
-  out->req_ring_addr = sl->req_ring_addr;
-  out->req_ring_rkey = sl->req_ring_rkey;
-  out->head_slot_addr = sl->head_slot_addr;
-  out->head_slot_rkey = sl->head_slot_rkey;
-  out->active = active ? 1 : 0;
-  out->credits = active ? env.config->credits : 0;
+  DescribeServerLane(*sl, out);
   return sl;
 }
 
@@ -352,19 +442,81 @@ std::unique_ptr<ServerLane> BuildServerLane(NodeEnv& env, ServerState& server,
 // Control-plane message handlers (server side, DESIGN.md §10)
 // ---------------------------------------------------------------------------
 
+namespace {
+
+namespace cw = ctrl::wire;
+
+// Encodes the answer to one control-plane request under its nonce.
+struct CtrlReply {
+  const cw::MsgHeader& header;
+  uint8_t* resp;
+  uint32_t resp_cap;
+
+  uint32_t Reject(cw::RejectReason reason) const {
+    return cw::EncodeReject(resp, resp_cap, header.nonce, reason);
+  }
+  template <typename T>
+  uint32_t Accept(cw::MsgType type, const T& body,
+                  uint32_t body_len = sizeof(T)) const {
+    return cw::EncodeMessage(resp, resp_cap, type, header.nonce, &body,
+                             body_len);
+  }
+};
+
+// The shared prologue of the per-sender handshakes (reconnect, add-lane,
+// disconnect): decode the body, then resolve its conn_id to the sender slot
+// the requesting client node owns. Returns nullptr with *reason set when the
+// request must be rejected; `wrong_node` is the reason a conn_id filed under
+// another client node gets.
+template <typename Req>
+SenderState* FindSender(ServerState& server, const cw::MsgHeader& header,
+                        const uint8_t* msg,
+                        bool (*decode)(const cw::MsgHeader&, const uint8_t*,
+                                       Req*),
+                        Req* req, cw::RejectReason wrong_node,
+                        cw::RejectReason* reason) {
+  if (!decode(header, msg, req)) {
+    *reason = cw::RejectReason::kUnknown;
+    return nullptr;
+  }
+  if (!server.started || req->conn_id >= server.senders.size()) {
+    *reason = cw::RejectReason::kBadConnId;
+    return nullptr;
+  }
+  SenderState& sender = server.senders[req->conn_id];
+  if (sender.client_node != req->client_node) {
+    *reason = wrong_node;
+    return nullptr;
+  }
+  return &sender;
+}
+
+// Files a freshly built server lane under its sender and a dispatcher
+// (round-robin over all lanes ever attached) and hands it to `server`.
+void AttachServerLane(ServerState& server, SenderState& sender,
+                      std::unique_ptr<ServerLane> lane) {
+  lane->tenant_id = sender.tenant_id;
+  sender.lanes.push_back(lane.get());
+  server
+      .dispatcher_lanes[server.lanes.size() %
+                        static_cast<size_t>(server.dispatcher_count)]
+      .push_back(lane.get());
+  server.lanes.push_back(std::move(lane));
+}
+
+}  // namespace
+
 uint32_t HandleConnectRequest(NodeEnv& env, ServerState& server,
                               const ctrl::wire::MsgHeader& header,
                               const uint8_t* msg, uint8_t* resp,
                               uint32_t resp_cap) {
-  namespace cw = ctrl::wire;
+  const CtrlReply reply{header, resp, resp_cap};
   cw::ConnectRequest req;
   if (!cw::DecodeConnectRequest(header, msg, &req)) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kUnknown);
+    return reply.Reject(cw::RejectReason::kUnknown);
   }
   if (!server.started) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kServerNotStarted);
+    return reply.Reject(cw::RejectReason::kServerNotStarted);
   }
 
   // Tenancy admission (DESIGN.md §15), before any server state is touched:
@@ -378,18 +530,15 @@ uint32_t HandleConnectRequest(NodeEnv& env, ServerState& server,
     if (req.tenant_id != tenant::kDefaultTenant &&
         !reg.Registered(req.tenant_id)) {
       reg.NoteUnknownTenant();
-      return cw::EncodeReject(resp, resp_cap, header.nonce,
-                              cw::RejectReason::kUnknownTenant);
+      return reply.Reject(cw::RejectReason::kUnknownTenant);
     }
     const tenant::Admission verdict =
         reg.AdmitConnect(req.tenant_id, req.num_lanes);
     if (verdict.verdict == tenant::Admission::Verdict::kOverConnections) {
-      return cw::EncodeReject(resp, resp_cap, header.nonce,
-                              cw::RejectReason::kTenantOverConnections);
+      return reply.Reject(cw::RejectReason::kTenantOverConnections);
     }
     if (verdict.verdict == tenant::Admission::Verdict::kOverLanes) {
-      return cw::EncodeReject(resp, resp_cap, header.nonce,
-                              cw::RejectReason::kTenantOverLanes);
+      return reply.Reject(cw::RejectReason::kTenantOverLanes);
     }
     granted_lanes = verdict.lanes;
   }
@@ -440,16 +589,10 @@ uint32_t HandleConnectRequest(NodeEnv& env, ServerState& server,
   accept.conn_id = sender_key;
   accept.num_lanes = granted_lanes;
   for (uint32_t i = 0; i < granted_lanes; ++i) {
-    auto sl = BuildServerLane(env, server, i, req.client_node, sender_key,
-                              req.ring_bytes, req.lanes[i],
-                              i < initially_active, &accept.lanes[i]);
-    sl->tenant_id = req.tenant_id;
-    sender.lanes.push_back(sl.get());
-    server
-        .dispatcher_lanes[server.lanes.size() %
-                          static_cast<size_t>(server.dispatcher_count)]
-        .push_back(sl.get());
-    server.lanes.push_back(std::move(sl));
+    AttachServerLane(server, sender,
+                     BuildServerLane(env, server, i, req.client_node,
+                                     sender_key, req.ring_bytes, req.lanes[i],
+                                     i < initially_active, &accept.lanes[i]));
   }
   // Provenance so the async client charges the right setup cost (qp_create
   // vs qp_reset) for the server-side bring-up it just caused.
@@ -457,41 +600,31 @@ uint32_t HandleConnectRequest(NodeEnv& env, ServerState& server,
       static_cast<uint32_t>(server.stats.qps_created - created_before);
   accept.recycled_qps =
       static_cast<uint32_t>(server.stats.qps_recycled - recycled_before);
-  return cw::EncodeMessage(resp, resp_cap, cw::MsgType::kConnectAccept,
-                           header.nonce, &accept,
-                           cw::ConnectAcceptBytes(granted_lanes));
+  return reply.Accept(cw::MsgType::kConnectAccept, accept,
+                      cw::ConnectAcceptBytes(granted_lanes));
 }
 
 uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
                                 const ctrl::wire::MsgHeader& header,
                                 const uint8_t* msg, uint8_t* resp,
                                 uint32_t resp_cap) {
-  namespace cw = ctrl::wire;
+  const CtrlReply reply{header, resp, resp_cap};
   cw::ReconnectRequest req;
-  if (!cw::DecodeReconnectRequest(header, msg, &req)) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kUnknown);
+  cw::RejectReason reason;
+  SenderState* sender =
+      FindSender(server, header, msg, cw::DecodeReconnectRequest, &req,
+                 cw::RejectReason::kBadLane, &reason);
+  if (sender == nullptr) {
+    return reply.Reject(reason);
   }
-  if (!server.started || req.conn_id >= server.senders.size()) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadConnId);
+  if (req.lane_index >= sender->lanes.size()) {
+    return reply.Reject(cw::RejectReason::kBadLane);
   }
-  SenderState& sender = server.senders[req.conn_id];
-  if (sender.client_node != req.client_node ||
-      req.lane_index >= sender.lanes.size()) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadLane);
-  }
-  ServerLane& lane = *sender.lanes[req.lane_index];
-  if (lane.retired) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadLane);
-  }
+  ServerLane& lane = *sender->lanes[req.lane_index];
   if (lane.in_service) {
     // Mid-dispatch: the client retries after backoff rather than having its
     // rings re-based under the dispatcher.
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kLaneBusy);
+    return reply.Reject(cw::RejectReason::kLaneBusy);
   }
   // The client is authoritative about its half being dead. If this side has
   // not noticed yet (no send completed in error), condemn it now so the
@@ -500,9 +633,6 @@ uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
     QuarantineServerLane(lane, server.stats);
   }
 
-  fabric::MemorySpace& smem = env.mem();
-  const uint32_t ring_bytes = lane.resp_producer.size();
-
   // Fresh server QP wired to the client's fresh QP. The dead QP is abandoned
   // in place — qpns are never reused, so its late flushes are recognizably
   // stale (Completion::qpn) and ignored by the CQ pollers.
@@ -510,23 +640,12 @@ uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
       env.device().CreateQp(verbs::QpType::kRc, env.send_cq, env.recv_cq);
   fresh->ConnectTo(req.client_node, req.lane.qpn);
 
-  // Ring resync: both directions restart from sequence zero. The request ring
-  // is zeroed (its canary-framed contents died with the old QP) and re-based;
-  // the response producer restarts; the head slot is cleared to match the
-  // client's fresh consumer. The client mirrors this before any sim event
-  // runs (ControlPlane::Call is synchronous), so neither side can observe the
-  // other half-resynced.
-  smem.Zero(lane.req_ring_addr, ring_bytes);
-  lane.req_consumer =
-      std::make_unique<RingConsumer>(smem.At(lane.req_ring_addr), ring_bytes);
-  lane.resp_producer = RingProducer(ring_bytes);
-  const uint64_t zero = 0;
-  smem.Write(lane.head_slot_addr, &zero, sizeof(zero));
+  // Ring resync: both directions restart from sequence zero. The client
+  // mirrors this before any sim event runs (ControlPlane::Call is
+  // synchronous), so neither side can observe the other half-resynced.
+  ResetServerRings(env.mem(), lane);
   lane.qp = fresh;
-  for (int r = 0; r < 16; ++r) {
-    env.transport->PostRecv(
-        *fresh, verbs::RecvWr{TagWrId(WrTag::kServerRecv, &lane), 0, 0});
-  }
+  PostLaneRecvs(env, *fresh, TagWrId(WrTag::kServerRecv, &lane));
 
   lane.failed = false;
   lane.active = true;
@@ -535,11 +654,10 @@ uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
   lane.utilization = 0;
   lane.messages_at_last_sweep = lane.messages_handled;
   server.stats.lane_reconnects += 1;
-  sender.dead = false;
-  sender.functioning = true;
+  sender->dead = false;
   // Shield the revived lane from dead-sender reclamation for two sweeps; it
   // has zero utilization by construction (the double-reclaim bug).
-  sender.revive_grace = 2;
+  sender->revive_grace = 2;
 
   cw::ReconnectAccept accept;
   accept.lane_index = req.lane_index;
@@ -547,39 +665,28 @@ uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
   // The grant counter is cumulative and survives the reconnect; the client
   // resyncs grants_seen to it so the delta stream stays consistent.
   accept.grant_cumulative = lane.grant_cumulative;
-  accept.lane.qpn = fresh->qpn();
-  accept.lane.req_ring_addr = lane.req_ring_addr;
-  accept.lane.req_ring_rkey = lane.req_ring_rkey;
-  accept.lane.head_slot_addr = lane.head_slot_addr;
-  accept.lane.head_slot_rkey = lane.head_slot_rkey;
-  accept.lane.active = 1;
-  accept.lane.credits = env.config->credits;
-  return cw::EncodeMessage(resp, resp_cap, cw::MsgType::kReconnectAccept,
-                           header.nonce, &accept, sizeof(accept));
+  DescribeServerLane(lane, &accept.lane);
+  return reply.Accept(cw::MsgType::kReconnectAccept, accept);
 }
 
 uint32_t HandleAddLaneRequest(NodeEnv& env, ServerState& server,
                               const ctrl::wire::MsgHeader& header,
                               const uint8_t* msg, uint8_t* resp,
                               uint32_t resp_cap) {
-  namespace cw = ctrl::wire;
+  const CtrlReply reply{header, resp, resp_cap};
   cw::AddLaneRequest req;
-  if (!cw::DecodeAddLaneRequest(header, msg, &req)) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kUnknown);
+  cw::RejectReason reason;
+  SenderState* sender =
+      FindSender(server, header, msg, cw::DecodeAddLaneRequest, &req,
+                 cw::RejectReason::kBadLane, &reason);
+  if (sender == nullptr) {
+    return reply.Reject(reason);
   }
-  if (!server.started || req.conn_id >= server.senders.size()) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadConnId);
-  }
-  SenderState& sender = server.senders[req.conn_id];
-  if (sender.client_node != req.client_node ||
-      req.lane_index != sender.lanes.size() ||
-      req.lane_index >= cw::kMaxLanesPerMsg) {
+  if (req.lane_index != sender->lanes.size()) {
     // Lane indexes must stay aligned across both sides; out-of-sequence adds
-    // (e.g. a replayed or reordered request) are refused.
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadLane);
+    // (e.g. a replayed or reordered request) are refused. The decoder already
+    // bounded lane_index by kMaxLanesPerMsg.
+    return reply.Reject(cw::RejectReason::kBadLane);
   }
 
   // Tenancy: lane growth is charged against the same ceiling as the connect
@@ -587,96 +694,27 @@ uint32_t HandleAddLaneRequest(NodeEnv& env, ServerState& server,
   if (env.config->tenancy) {
     tenant::TenantRegistry& reg =
         ctrl::ControlPlane::For(*env.cluster).tenants();
-    if (!reg.AdmitLane(sender.tenant_id)) {
-      return cw::EncodeReject(resp, resp_cap, header.nonce,
-                              cw::RejectReason::kTenantOverLanes);
+    if (!reg.AdmitLane(sender->tenant_id)) {
+      return reply.Reject(cw::RejectReason::kTenantOverLanes);
     }
-    sender.tenant_lanes_charged += 1;
+    sender->tenant_lanes_charged += 1;
   }
 
   cw::AddLaneAccept accept;
   accept.lane_index = req.lane_index;
   const uint64_t recycled_before = server.stats.qps_recycled;
-  auto sl = BuildServerLane(env, server, req.lane_index, req.client_node,
-                            req.conn_id, req.ring_bytes, req.lane,
-                            /*active=*/true, &accept.lane);
-  sl->tenant_id = sender.tenant_id;
+  AttachServerLane(server, *sender,
+                   BuildServerLane(env, server, req.lane_index, req.client_node,
+                                   req.conn_id, req.ring_bytes, req.lane,
+                                   /*active=*/true, &accept.lane));
   accept.recycled = server.stats.qps_recycled != recycled_before ? 1 : 0;
-  sender.lanes.push_back(sl.get());
-  server
-      .dispatcher_lanes[server.lanes.size() %
-                        static_cast<size_t>(server.dispatcher_count)]
-      .push_back(sl.get());
-  server.lanes.push_back(std::move(sl));
-  server.stats.lanes_added += 1;
-  return cw::EncodeMessage(resp, resp_cap, cw::MsgType::kAddLaneAccept,
-                           header.nonce, &accept, sizeof(accept));
-}
-
-uint32_t HandleRetireLaneRequest(NodeEnv& env, ServerState& server,
-                                 const ctrl::wire::MsgHeader& header,
-                                 const uint8_t* msg, uint8_t* resp,
-                                 uint32_t resp_cap) {
-  namespace cw = ctrl::wire;
-  cw::RetireLaneRequest req;
-  if (!cw::DecodeRetireLaneRequest(header, msg, &req)) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kUnknown);
-  }
-  if (!server.started || req.conn_id >= server.senders.size()) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadConnId);
-  }
-  SenderState& sender = server.senders[req.conn_id];
-  if (sender.client_node != req.client_node ||
-      req.lane_index >= sender.lanes.size()) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadLane);
-  }
-  ServerLane& lane = *sender.lanes[req.lane_index];
-  if (lane.failed) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadLane);
-  }
-  cw::RetireLaneAccept accept;
-  accept.lane_index = req.lane_index;
-  if (lane.retired) {  // idempotent: a duplicate retire re-acks
-    return cw::EncodeMessage(resp, resp_cap, cw::MsgType::kRetireLaneAccept,
-                             header.nonce, &accept, sizeof(accept));
-  }
-  uint32_t live_active = 0;
-  for (ServerLane* l : sender.lanes) {
-    live_active += (!l->failed && !l->retired && l->active) ? 1 : 0;
-  }
-  if (lane.active && live_active <= 1) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kLastActiveLane);
-  }
-  lane.retired = true;
-  if (lane.active) {
-    lane.active = false;
-    server.stats.deactivations += 1;
-  }
-  lane.credits_outstanding = 0;
-  server.stats.lanes_retired += 1;
-  // Tenancy: a retired lane frees its slice of the tenant's lane ceiling.
-  if (env.config->tenancy && sender.tenant_charged &&
-      sender.tenant_lanes_charged > 0) {
-    ctrl::ControlPlane::For(*env.cluster)
-        .tenants()
-        .ReleaseLanes(sender.tenant_id, 1);
-    sender.tenant_lanes_charged -= 1;
-  }
-  // The dispatcher keeps draining the retired lane's request ring (its skip
-  // condition is in_service/failed, not retired) so in-flight RPCs complete.
-  return cw::EncodeMessage(resp, resp_cap, cw::MsgType::kRetireLaneAccept,
-                           header.nonce, &accept, sizeof(accept));
+  return reply.Accept(cw::MsgType::kAddLaneAccept, accept);
 }
 
 void TearDownOneSender(NodeEnv& env, ServerState& server,
                        SenderState& sender) {
   for (ServerLane* lane : sender.lanes) {
-    if (!lane->failed && !lane->retired) {
+    if (!lane->failed) {
       // Destroy the transport the way a real server tears down a departed
       // client's QPs: error it (flushing our posts) so the peer — should
       // the node come back before rejoining — sees kRemoteInvalidQp.
@@ -685,7 +723,6 @@ void TearDownOneSender(NodeEnv& env, ServerState& server,
     }
   }
   sender.dead = true;
-  sender.functioning = false;
   sender.revive_grace = 0;
   server.stats.dead_senders += 1;
   // Tenancy: the departed client's admission accounting is released here
@@ -699,48 +736,19 @@ void TearDownOneSender(NodeEnv& env, ServerState& server,
     sender.tenant_lanes_charged = 0;
   }
 
-  // Harvest (DESIGN.md §13): strip each lane that is not mid-dispatch down
-  // to its shell — reset QP, ring/slot addresses, rkeys — for the next
-  // connect to reuse, and park the lane object in the graveyard. Graveyard
-  // objects are never destroyed or reused: the CQEs just flushed (sends
-  // plus ~16 posted receives per lane) still carry wr_id pointers to them,
-  // and their qp == nullptr is what marks those completions stale. A lane
-  // handed to an RPC worker (in_service) stays quarantined in place; its
-  // slot-blocking is why the dead-sender scan above requires lanes.empty().
+  // Harvest every lane that is not mid-dispatch into the shell pool. The
+  // CQEs just flushed (sends plus the posted receives of each lane) still
+  // carry wr_id pointers to the graveyard-parked lane objects. A lane handed
+  // to an RPC worker (in_service) stays quarantined in place; its
+  // slot-blocking is why the dead-sender scan in HandleConnectRequest
+  // requires lanes.empty().
   if (env.config->qp_recycling) {
     std::vector<ServerLane*> kept;
     for (ServerLane* lane : sender.lanes) {
       if (lane->in_service) {
         kept.push_back(lane);
-        continue;
-      }
-      env.device().ResetQp(*lane->qp);
-      ServerLaneShell shell;
-      shell.qp = lane->qp;
-      shell.ring_bytes = lane->resp_producer.size();
-      shell.req_ring_addr = lane->req_ring_addr;
-      shell.head_slot_addr = lane->head_slot_addr;
-      shell.ctrl_src_addr = lane->ctrl_src_addr;
-      shell.staging_addr = lane->staging_addr;
-      shell.req_ring_rkey = lane->req_ring_rkey;
-      shell.head_slot_rkey = lane->head_slot_rkey;
-      server.lane_pool.push_back(shell);
-      lane->qp = nullptr;
-      for (auto& dlanes : server.dispatcher_lanes) {
-        for (size_t i = 0; i < dlanes.size(); ++i) {
-          if (dlanes[i] == lane) {
-            dlanes.erase(dlanes.begin() + static_cast<std::ptrdiff_t>(i));
-            break;
-          }
-        }
-      }
-      for (size_t i = 0; i < server.lanes.size(); ++i) {
-        if (server.lanes[i].get() == lane) {
-          server.graveyard.push_back(std::move(server.lanes[i]));
-          server.lanes.erase(server.lanes.begin() +
-                             static_cast<std::ptrdiff_t>(i));
-          break;
-        }
+      } else {
+        HarvestShell(env, server, *lane);
       }
     }
     sender.lanes = std::move(kept);
@@ -766,33 +774,75 @@ uint32_t HandleDisconnectRequest(NodeEnv& env, ServerState& server,
                                  const ctrl::wire::MsgHeader& header,
                                  const uint8_t* msg, uint8_t* resp,
                                  uint32_t resp_cap) {
-  namespace cw = ctrl::wire;
+  const CtrlReply reply{header, resp, resp_cap};
   cw::DisconnectRequest req;
-  if (!cw::DecodeDisconnectRequest(header, msg, &req)) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kUnknown);
-  }
-  if (!server.started || req.conn_id >= server.senders.size()) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadConnId);
-  }
-  SenderState& sender = server.senders[req.conn_id];
-  if (sender.client_node != req.client_node) {
-    return cw::EncodeReject(resp, resp_cap, header.nonce,
-                            cw::RejectReason::kBadConnId);
+  cw::RejectReason reason;
+  SenderState* sender =
+      FindSender(server, header, msg, cw::DecodeDisconnectRequest, &req,
+                 cw::RejectReason::kBadConnId, &reason);
+  if (sender == nullptr) {
+    return reply.Reject(reason);
   }
   cw::DisconnectAccept accept;
-  accept.lanes_torn = static_cast<uint32_t>(sender.lanes.size());
-  if (!sender.dead) {  // idempotent: a duplicate disconnect just re-acks
-    TearDownOneSender(env, server, sender);
+  accept.lanes_torn = static_cast<uint32_t>(sender->lanes.size());
+  if (!sender->dead) {  // idempotent: a duplicate disconnect just re-acks
+    TearDownOneSender(env, server, *sender);
   }
-  return cw::EncodeMessage(resp, resp_cap, cw::MsgType::kDisconnectAccept,
-                           header.nonce, &accept, sizeof(accept));
+  return reply.Accept(cw::MsgType::kDisconnectAccept, accept);
 }
 
 // ---------------------------------------------------------------------------
-// Client control-plane daemons: lane reconnection and elastic scaling
+// Client side of the handshakes: the round trip, and lane reconnection
 // ---------------------------------------------------------------------------
+
+namespace {
+
+// One synchronous control-plane round trip from a client connection to its
+// server: encodes `req` under a fresh nonce, calls, and decodes the expected
+// accept. Returns false on no response, bad framing or any other reply; then
+// *reject_reason (when non-null) carries the server's RejectReason, or
+// kUnknown if the reply was not a Reject.
+template <typename Req, typename Accept>
+bool CallServer(ClientConnState& conn, cw::MsgType type, const Req& req,
+                uint32_t req_len,
+                bool (*decode)(const cw::MsgHeader&, const uint8_t*, Accept*),
+                Accept* accept, cw::RejectReason* reject_reason = nullptr) {
+  ctrl::ControlPlane& cp = ctrl::ControlPlane::For(*conn.env->cluster);
+  uint8_t msg[cw::kMaxMessageBytes];
+  uint8_t resp[cw::kMaxMessageBytes];
+  const uint32_t msg_len =
+      cw::EncodeMessage(msg, sizeof(msg), type, cp.NextNonce(), &req, req_len);
+  const uint32_t resp_len =
+      cp.Call(conn.server_node, msg, msg_len, resp, sizeof(resp));
+  cw::MsgHeader header;
+  const bool framed =
+      resp_len != 0 && cw::DecodeHeader(resp, resp_len, &header);
+  if (framed && decode(header, resp, accept)) {
+    return true;
+  }
+  if (reject_reason != nullptr) {
+    cw::Reject rej;
+    *reject_reason = framed && cw::DecodeReject(header, resp, &rej)
+                         ? static_cast<cw::RejectReason>(rej.reason)
+                         : cw::RejectReason::kUnknown;
+  }
+  return false;
+}
+
+// Accelerates watchdog recovery of the RPCs accounted to a just-revived
+// lane: their deadlines collapse to "now" so the next tick retransmits.
+void ExpireLaneDeadlines(ClientConnState& conn, uint32_t lane_index) {
+  const Nanos now = conn.env->sim().Now();
+  for (auto& map : conn.pending) {
+    map.ForEach([&](uint32_t, PendingRpc* rpc) {
+      if (rpc->deadline > 0 && rpc->lane_index == lane_index) {
+        rpc->deadline = std::min(rpc->deadline, now);
+      }
+    });
+  }
+}
+
+}  // namespace
 
 sim::Proc ReconnectDaemon(ClientConnState& conn) {
   const FlockConfig& config = *conn.env->config;
@@ -804,32 +854,32 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
     if (conn.closed) {
       co_return;  // CloseConnection: the handle never comes back
     }
-    ClientLane* victim = nullptr;
-    for (const auto& lane : conn.lanes) {
-      if (lane->failed && !lane->retired) {
-        victim = lane.get();
-        break;
-      }
-    }
-    if (victim == nullptr) {
+    const auto it = std::find_if(
+        conn.lanes.begin(), conn.lanes.end(),
+        [](const auto& l) { return l->state == LaneState::kQuarantined; });
+    if (it == conn.lanes.end()) {
       backoff = base_backoff;
       co_await conn.reconnect_cond->Wait();
       continue;
     }
+    ClientLane* victim = it->get();
 
-    victim->reconnecting = true;
+    SetLaneState(*victim, LaneState::kReconnecting);
     co_await sim::Delay(sim, backoff);
     // The out-of-band channel is slow (RDMA-CM over TCP): one RTT of latency
     // charged up front, so everything from the gate below through the resync
     // runs without suspension — no pump or dispatcher can interleave.
     co_await sim::Delay(sim, config.ctrl_rtt);
+    if (conn.closed) {
+      co_return;  // closed under the backoff: the lane is retired for good
+    }
     // Quiesce and membership gates: never resync rings under a pump or
     // dispatcher mid-pass, and never handshake while either end is outside
     // the membership view (a rejoining node passes once Join() lands).
     if (!cp.IsMember(conn.env->node) || !cp.IsMember(conn.server_node) ||
         victim->pump_running || victim->mem_pump_running ||
         victim->in_dispatch) {
-      victim->reconnecting = false;
+      SetLaneState(*victim, LaneState::kQuarantined);
       backoff = std::min<Nanos>(backoff * 2, base_backoff * 256);
       continue;
     }
@@ -842,51 +892,32 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
     req.client_node = conn.env->node;
     req.conn_id = conn.conn_id;
     req.lane_index = victim->index;
-    req.lane.qpn = fresh->qpn();
     // Rings and rkeys are unchanged — the server kept its copies from the
-    // connect handshake; re-advertised here for the fuzzers' benefit only.
-    req.lane.resp_ring_addr = victim->resp_ring_addr;
-    req.lane.ctrl_slot_addr = victim->ctrl_slot_addr;
+    // connect handshake; re-advertised alongside the fresh QP regardless.
+    DescribeClientLane(*victim, &req.lane);
+    req.lane.qpn = fresh->qpn();
 
-    uint8_t msg[ctrl::wire::kMaxMessageBytes];
-    uint8_t resp[ctrl::wire::kMaxMessageBytes];
-    const uint32_t msg_len = ctrl::wire::EncodeMessage(
-        msg, sizeof(msg), ctrl::wire::MsgType::kReconnectRequest,
-        cp.NextNonce(), &req, sizeof(req));
-    const uint32_t resp_len =
-        cp.Call(conn.server_node, msg, msg_len, resp, sizeof(resp));
-
-    ctrl::wire::MsgHeader resp_header;
     ctrl::wire::ReconnectAccept accept;
-    if (resp_len == 0 ||
-        !ctrl::wire::DecodeHeader(resp, resp_len, &resp_header) ||
-        !ctrl::wire::DecodeReconnectAccept(resp_header, resp, &accept)) {
+    if (!CallServer(conn, ctrl::wire::MsgType::kReconnectRequest, req,
+                    sizeof(req), ctrl::wire::DecodeReconnectAccept, &accept)) {
       // Rejected (busy, membership, malformed): retry after backoff. The
       // orphaned QP is abandoned; QPs are simulation-cheap and never reused.
-      victim->reconnecting = false;
+      SetLaneState(*victim, LaneState::kQuarantined);
       backoff = std::min<Nanos>(backoff * 2, base_backoff * 256);
       continue;
     }
 
     // Client-side resync, mirroring the server's handler before any sim
-    // event can run: fresh response ring/consumer, request sequence state
-    // from zero, credits and cumulative-grant resync from the accept.
-    fabric::MemorySpace& cmem = conn.env->mem();
-    const uint32_t ring_bytes = victim->req_producer.size();
-    cmem.Zero(victim->resp_ring_addr, ring_bytes);
-    victim->resp_consumer = std::make_unique<RingConsumer>(
-        cmem.At(victim->resp_ring_addr), ring_bytes);
-    victim->req_producer = RingProducer(ring_bytes);
+    // event can run: fresh rings from sequence zero, credits and
+    // cumulative-grant resync from the accept.
+    ResetClientRings(conn.env->mem(), *victim);
     victim->qp = fresh;
-    victim->failed = false;
     victim->renew_in_flight = false;
     victim->starved_passes = 0;
     victim->resp_bytes_since_send = 0;
     WireClientLane(*conn.env, *victim, conn.server_node, accept.lane,
                    accept.grant_cumulative);
-    victim->reconnecting = false;
-    victim->reconnects += 1;
-    conn.client->stats.lane_reconnects += 1;
+    SetLaneState(*victim, LaneState::kHealthy);
     victim->send_ready.NotifyAll();
     // Un-acked RPCs accounted to this lane retransmit at the watchdog's next
     // tick instead of waiting out their full deadlines: this is how batches
@@ -908,119 +939,6 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
   }
 }
 
-sim::Proc ElasticScaler(ClientConnState& conn) {
-  const FlockConfig& config = *conn.env->config;
-  ctrl::ControlPlane& cp = ctrl::ControlPlane::For(*conn.env->cluster);
-  sim::Simulator& sim = conn.env->sim();
-  std::vector<uint32_t> degrees;
-  for (;;) {
-    co_await sim::Delay(sim, config.elastic_interval);
-    if (conn.closed) {
-      co_return;  // CloseConnection: stop ticking for a dead handle
-    }
-    if (!cp.IsMember(conn.env->node) || !cp.IsMember(conn.server_node)) {
-      continue;
-    }
-    degrees.clear();
-    uint32_t usable = 0;
-    uint32_t active_count = 0;
-    for (const auto& lane : conn.lanes) {
-      if (lane->failed || lane->retired) {
-        continue;
-      }
-      ++usable;
-      if (lane->active) {
-        ++active_count;
-        degrees.push_back(lane->coalesce_degree.Median(0));
-      }
-    }
-    if (degrees.empty()) {
-      continue;
-    }
-    std::sort(degrees.begin(), degrees.end());
-    const uint32_t median = degrees[degrees.size() / 2];
-
-    if (median >= config.elastic_grow_degree &&
-        conn.lanes.size() < config.max_lanes_per_connection &&
-        conn.lanes.size() < ctrl::wire::kMaxLanesPerMsg) {
-      // Sustained high coalescing: threads queue more deeply than the
-      // combining bound intends — add a lane (§5.2 signal, §10 mechanism).
-      const uint32_t index = static_cast<uint32_t>(conn.lanes.size());
-      ctrl::wire::AddLaneRequest req;
-      req.client_node = conn.env->node;
-      req.conn_id = conn.conn_id;
-      req.lane_index = index;
-      req.ring_bytes = config.ring_bytes;
-      auto lane = BuildClientLane(*conn.env, conn, index, &req.lane);
-
-      uint8_t msg[ctrl::wire::kMaxMessageBytes];
-      uint8_t resp[ctrl::wire::kMaxMessageBytes];
-      const uint32_t msg_len = ctrl::wire::EncodeMessage(
-          msg, sizeof(msg), ctrl::wire::MsgType::kAddLaneRequest,
-          cp.NextNonce(), &req, sizeof(req));
-      co_await sim::Delay(sim, config.ctrl_rtt);
-      const uint32_t resp_len =
-          cp.Call(conn.server_node, msg, msg_len, resp, sizeof(resp));
-      ctrl::wire::MsgHeader resp_header;
-      ctrl::wire::AddLaneAccept accept;
-      if (resp_len == 0 ||
-          !ctrl::wire::DecodeHeader(resp, resp_len, &resp_header) ||
-          !ctrl::wire::DecodeAddLaneAccept(resp_header, resp, &accept)) {
-        continue;  // rejected: the orphaned client half is abandoned
-      }
-      WireClientLane(*conn.env, *lane, conn.server_node, accept.lane,
-                     /*grant_cumulative=*/0);
-      conn.lanes.push_back(std::move(lane));
-      conn.client->stats.lanes_added += 1;
-    } else if (median <= config.elastic_shrink_degree && active_count > 1 &&
-               usable > config.min_lanes) {
-      // Requests rarely coalesce: the handle holds more QPs than its load
-      // needs — retire the highest-index active lane.
-      ClientLane* target = nullptr;
-      for (auto it = conn.lanes.rbegin(); it != conn.lanes.rend(); ++it) {
-        ClientLane& l = **it;
-        if (!l.failed && !l.retired && l.active) {
-          target = &l;
-          break;
-        }
-      }
-      if (target == nullptr) {
-        continue;
-      }
-      ctrl::wire::RetireLaneRequest req;
-      req.client_node = conn.env->node;
-      req.conn_id = conn.conn_id;
-      req.lane_index = target->index;
-
-      uint8_t msg[ctrl::wire::kMaxMessageBytes];
-      uint8_t resp[ctrl::wire::kMaxMessageBytes];
-      const uint32_t msg_len = ctrl::wire::EncodeMessage(
-          msg, sizeof(msg), ctrl::wire::MsgType::kRetireLaneRequest,
-          cp.NextNonce(), &req, sizeof(req));
-      co_await sim::Delay(sim, config.ctrl_rtt);
-      const uint32_t resp_len =
-          cp.Call(conn.server_node, msg, msg_len, resp, sizeof(resp));
-      ctrl::wire::MsgHeader resp_header;
-      ctrl::wire::RetireLaneAccept accept;
-      if (resp_len == 0 ||
-          !ctrl::wire::DecodeHeader(resp, resp_len, &resp_header) ||
-          !ctrl::wire::DecodeRetireLaneAccept(resp_header, resp, &accept)) {
-        continue;  // rejected (e.g. it is the last active lane)
-      }
-      // The server acked: the lane is retired on its side no matter what
-      // happened to ours while the RTT elapsed, so retire here too — retired
-      // wins over failed (the reconnect daemon skips retired lanes).
-      target->retired = true;
-      target->active = false;
-      target->credits = 0;
-      // Wake the pump so anything queued migrates to a surviving lane; the
-      // thread scheduler moves the threads themselves next interval.
-      target->send_ready.NotifyAll();
-      conn.client->stats.lanes_retired += 1;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Connection-storm path: deferred handshake, lazy lanes, close (DESIGN.md §13)
 // ---------------------------------------------------------------------------
@@ -1029,7 +947,6 @@ bool ConnectHandshake(ClientConnState& conn, uint32_t* server_fresh,
                       uint32_t* server_recycled,
                       ctrl::wire::RejectReason* reject_reason) {
   NodeEnv& env = *conn.env;
-  ctrl::ControlPlane& cp = ctrl::ControlPlane::For(*env.cluster);
   const uint32_t num_lanes = static_cast<uint32_t>(conn.lanes.size());
 
   ctrl::wire::ConnectRequest req;
@@ -1038,39 +955,14 @@ bool ConnectHandshake(ClientConnState& conn, uint32_t* server_fresh,
   req.ring_bytes = env.config->ring_bytes;
   req.tenant_id = conn.tenant_id;
   for (uint32_t i = 0; i < num_lanes; ++i) {
-    const ClientLane& lane = *conn.lanes[i];
-    req.lanes[i].qpn = lane.qp->qpn();
-    req.lanes[i].resp_ring_addr = lane.resp_ring_addr;
-    req.lanes[i].resp_ring_rkey = lane.resp_ring_rkey;
-    req.lanes[i].ctrl_slot_addr = lane.ctrl_slot_addr;
-    req.lanes[i].ctrl_slot_rkey = lane.ctrl_slot_rkey;
+    DescribeClientLane(*conn.lanes[i], &req.lanes[i]);
   }
 
-  uint8_t msg[ctrl::wire::kMaxMessageBytes];
-  uint8_t resp[ctrl::wire::kMaxMessageBytes];
-  const uint32_t msg_len = ctrl::wire::EncodeMessage(
-      msg, sizeof(msg), ctrl::wire::MsgType::kConnectRequest, cp.NextNonce(),
-      &req, ctrl::wire::ConnectRequestBytes(num_lanes));
-  const uint32_t resp_len =
-      cp.Call(conn.server_node, msg, msg_len, resp, sizeof(resp));
-
-  ctrl::wire::MsgHeader resp_header;
   ctrl::wire::ConnectAccept accept;
-  if (resp_len == 0 ||
-      !ctrl::wire::DecodeHeader(resp, resp_len, &resp_header) ||
-      !ctrl::wire::DecodeConnectAccept(resp_header, resp, &accept) ||
+  if (!CallServer(conn, ctrl::wire::MsgType::kConnectRequest, req,
+                  ctrl::wire::ConnectRequestBytes(num_lanes),
+                  ctrl::wire::DecodeConnectAccept, &accept, reject_reason) ||
       accept.num_lanes == 0 || accept.num_lanes > num_lanes) {
-    // Surface the server's reject reason (if the response decodes as one) so
-    // callers can tell a tenancy admission reject from a hard failure.
-    if (reject_reason != nullptr) {
-      *reject_reason = ctrl::wire::RejectReason::kUnknown;
-      ctrl::wire::Reject rej;
-      if (resp_len != 0 &&
-          ctrl::wire::DecodeHeader(resp, resp_len, &resp_header) &&
-          ctrl::wire::DecodeReject(resp_header, resp, &rej)) {
-        *reject_reason = static_cast<ctrl::wire::RejectReason>(rej.reason);
-      }
-    }
     return false;
   }
   conn.conn_id = accept.conn_id;
@@ -1079,21 +971,9 @@ bool ConnectHandshake(ClientConnState& conn, uint32_t* server_fresh,
     // halves. They were never wired — no peer, no posted receives, nothing in
     // flight — so under qp_recycling their shells go straight back to the
     // pool; otherwise the fresh QPs are abandoned in place.
-    for (uint32_t i = accept.num_lanes; i < num_lanes; ++i) {
-      ClientLane& extra = *conn.lanes[i];
-      if (env.config->qp_recycling) {
-        env.device().ResetQp(*extra.qp);
-        ClientLaneShell shell;
-        shell.qp = extra.qp;
-        shell.ring_bytes = extra.req_producer.size();
-        shell.staging_addr = extra.staging_addr;
-        shell.head_src_addr = extra.head_src_addr;
-        shell.ctrl_slot_addr = extra.ctrl_slot_addr;
-        shell.resp_ring_addr = extra.resp_ring_addr;
-        shell.resp_ring_rkey = extra.resp_ring_rkey;
-        shell.ctrl_slot_rkey = extra.ctrl_slot_rkey;
-        conn.client->lane_pool.push_back(shell);
-        extra.qp = nullptr;
+    if (env.config->qp_recycling) {
+      for (uint32_t i = accept.num_lanes; i < num_lanes; ++i) {
+        HarvestShell(env, *conn.client, *conn.lanes[i]);
       }
     }
     conn.lanes.resize(accept.num_lanes);
@@ -1117,7 +997,6 @@ sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread) {
   const FlockConfig& config = *env.config;
   const sim::CostModel& cost = env.cost();
   sim::Simulator& sim = env.sim();
-  ctrl::ControlPlane& cp = ctrl::ControlPlane::For(*env.cluster);
 
   // Count distinct threads touching this handle: the lazy-growth target is
   // min(target_lanes, threads seen so far) — one lane per thread until the
@@ -1151,6 +1030,13 @@ sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread) {
     // RPC: one out-of-band RTT plus the server-side QP bring-up, charged by
     // provenance (a recycled lane costs qp_reset, not qp_create).
     co_await sim::Delay(sim, config.ctrl_rtt);
+    if (conn.closed) {
+      // Closed under the RTT: every lane is retired (under qp_recycling
+      // already harvested, qp == nullptr), so there is nothing to connect.
+      conn.setup_in_progress = false;
+      conn.setup_cond->NotifyAll();
+      co_return;
+    }
     uint32_t fresh = 0;
     uint32_t recycled = 0;
     ctrl::wire::RejectReason reason = ctrl::wire::RejectReason::kUnknown;
@@ -1190,24 +1076,16 @@ sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread) {
     req.lane_index = index;
     req.ring_bytes = config.ring_bytes;
     const uint64_t created_before = conn.client->stats.qps_created;
-    auto lane = BuildClientLane(env, conn, index, &req.lane);
+    auto lane = BuildClientLane(env, conn, index);
+    DescribeClientLane(*lane, &req.lane);
     co_await sim::Delay(sim, conn.client->stats.qps_created != created_before
                                  ? cost.qp_create
                                  : cost.qp_reset);
 
-    uint8_t msg[ctrl::wire::kMaxMessageBytes];
-    uint8_t resp[ctrl::wire::kMaxMessageBytes];
-    const uint32_t msg_len = ctrl::wire::EncodeMessage(
-        msg, sizeof(msg), ctrl::wire::MsgType::kAddLaneRequest, cp.NextNonce(),
-        &req, sizeof(req));
     co_await sim::Delay(sim, config.ctrl_rtt);
-    const uint32_t resp_len =
-        cp.Call(conn.server_node, msg, msg_len, resp, sizeof(resp));
-    ctrl::wire::MsgHeader resp_header;
     ctrl::wire::AddLaneAccept accept;
-    if (resp_len == 0 ||
-        !ctrl::wire::DecodeHeader(resp, resp_len, &resp_header) ||
-        !ctrl::wire::DecodeAddLaneAccept(resp_header, resp, &accept)) {
+    if (!CallServer(conn, ctrl::wire::MsgType::kAddLaneRequest, req,
+                    sizeof(req), ctrl::wire::DecodeAddLaneAccept, &accept)) {
       break;  // rejected: the orphaned client half is abandoned; stop growing
     }
     co_await sim::Delay(sim,
@@ -1218,7 +1096,6 @@ sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread) {
     WireClientLane(env, *lane, conn.server_node, accept.lane,
                    /*grant_cumulative=*/0);
     conn.lanes.push_back(std::move(lane));
-    conn.client->stats.lanes_added += 1;
   }
 
   conn.setup_in_progress = false;
@@ -1226,13 +1103,33 @@ sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread) {
 }
 
 void CloseClientConn(ClientConnState& conn) {
+  if (conn.closed) {
+    return;
+  }
   NodeEnv& env = *conn.env;
   const bool recycle = env.config->qp_recycling;
+  // Orderly disconnect (DESIGN.md §15): with tenancy on, tell the server so
+  // its sender slot and the tenant's admission accounting are reclaimed now,
+  // not whenever dead-sender detection happens to notice the departed QPs.
+  // Never-handshaken handles (pending piggyback, admission rejects) hold no
+  // server-side state to release. Best effort: a reject (server gone,
+  // already dead) leaves reclamation to the dead-sender path, which
+  // TearDownOneSender guards for.
+  if (env.config->tenancy && !conn.handshake_pending &&
+      !conn.admission_rejected) {
+    cw::DisconnectRequest req;
+    req.client_node = env.node;
+    req.conn_id = conn.conn_id;
+    cw::DisconnectAccept accept;
+    CallServer(conn, cw::MsgType::kDisconnectRequest, req, sizeof(req),
+               cw::DecodeDisconnectAccept, &accept);
+  }
   conn.closed = true;
 
   for (auto& lane_ptr : conn.lanes) {
     ClientLane& lane = *lane_ptr;
-    lane.retired = true;
+    const bool failed = lane.failed();
+    SetLaneState(lane, LaneState::kRetired);
     lane.active = false;
     lane.credits = 0;
     // Harvestable only when nothing still references the transport half: no
@@ -1242,22 +1139,11 @@ void CloseClientConn(ClientConnState& conn) {
     const bool quiescent = !lane.pump_running && !lane.mem_pump_running &&
                            !lane.in_dispatch && lane.inflight == 0 &&
                            lane.combine_head == nullptr &&
-                           lane.memop_head == nullptr && !lane.failed &&
+                           lane.memop_head == nullptr && !failed &&
                            lane.qp != nullptr;
     if (recycle && quiescent) {
-      env.device().ResetQp(*lane.qp);
-      ClientLaneShell shell;
-      shell.qp = lane.qp;
-      shell.ring_bytes = lane.req_producer.size();
-      shell.staging_addr = lane.staging_addr;
-      shell.head_src_addr = lane.head_src_addr;
-      shell.ctrl_slot_addr = lane.ctrl_slot_addr;
-      shell.resp_ring_addr = lane.resp_ring_addr;
-      shell.resp_ring_rkey = lane.resp_ring_rkey;
-      shell.ctrl_slot_rkey = lane.ctrl_slot_rkey;
-      conn.client->lane_pool.push_back(shell);
-      lane.qp = nullptr;
-    } else if (lane.qp != nullptr && !lane.failed) {
+      HarvestShell(env, *conn.client, lane);
+    } else if (lane.qp != nullptr && !failed) {
       // Not recyclable: error the QP so the server side sees the departure
       // (kRemoteInvalidQp on its next write) instead of a silent ghost.
       env.device().ErrorQp(*lane.qp);

@@ -1,7 +1,7 @@
 // Lane state and lifecycle: the client and server halves of one QP lane, the
 // per-connection / per-role state containers the mechanism modules operate
 // on, and the control-plane lifecycle (handshake build/wire, quarantine,
-// reconnect, elastic add/retire, membership teardown).
+// reconnect, lazy add-lane, close and membership teardown).
 //
 // Layering (DESIGN.md §11): lane sits directly above the transport seam.
 // Everything here is mechanism-module internal; the public API wrapping it
@@ -49,8 +49,6 @@ struct ServerStats {
   uint64_t dead_senders = 0;   // senders fully reclaimed by Redistribute
   uint64_t responses_dropped = 0;  // responses lost to a dead lane
   uint64_t lane_reconnects = 0;    // server lanes revived via control plane
-  uint64_t lanes_added = 0;        // elastic grow handshakes accepted
-  uint64_t lanes_retired = 0;      // elastic shrink handshakes accepted
 };
 
 // Client-side failure-handling counters.
@@ -62,8 +60,6 @@ struct ClientStats {
   uint64_t failed_rpcs = 0;         // RPCs surfaced with ok=false
   uint64_t spurious_responses = 0;  // responses with no outstanding request
   uint64_t lane_reconnects = 0;     // client lanes revived via control plane
-  uint64_t lanes_added = 0;         // elastic grow
-  uint64_t lanes_retired = 0;       // elastic shrink
 };
 
 namespace internal {
@@ -193,6 +189,18 @@ T* WrIdPtr(uint64_t wr_id) {
 
 struct ClientConnState;
 
+// Lifecycle of a client lane (DESIGN.md §10). The legal edges are
+//
+//   Healthy      -> Quarantined   the QP errored (QuarantineLane)
+//   Quarantined  -> Reconnecting  the reconnect daemon picked the lane
+//   Reconnecting -> Quarantined   gate or handshake failed; retry later
+//   Reconnecting -> Healthy       fresh QP pair wired, rings resynced
+//   any          -> Retired       the handle was closed (terminal)
+//
+// and SetLaneState is the only writer. Activation (ClientLane::active) is
+// orthogonal: it is the receiver's QP-scheduling decision, not a lifecycle.
+enum class LaneState : uint8_t { kHealthy, kQuarantined, kReconnecting, kRetired };
+
 // ---- client side of one QP lane ----
 struct ClientLane {
   ClientLane(sim::Simulator& sim, uint32_t ring_bytes)
@@ -219,26 +227,25 @@ struct ClientLane {
   // Response path: server writes into this client-local ring.
   std::unique_ptr<RingConsumer> resp_consumer;
   uint64_t resp_ring_addr = 0;
-  // Client-side copies of the rkeys it advertised at build time: a deferred
-  // (piggybacked) connect handshake and the shell-harvest path both need to
-  // re-advertise them after the ClientLaneInfo from BuildClientLane is gone.
+  // rkeys of the lane's client-local MRs, advertised by every handshake
+  // (DescribeClientLane) and carried over by the shell-harvest path.
   uint32_t resp_ring_rkey = 0;
   uint32_t ctrl_slot_rkey = 0;
 
   // Credits and activation (receiver-side QP scheduling, §5.1).
   uint64_t credits = 0;
   bool active = true;
-  // Quarantined: the lane's QP errored. Queued work and threads migrate to
-  // surviving lanes, in-flight RPCs recover via retry. With
+  // While failed(), queued work and threads migrate to surviving
+  // lanes and in-flight RPCs recover via retry. With
   // FlockConfig::lane_reconnect the connection's reconnect daemon revives the
-  // lane through the control plane; otherwise it stays quarantined forever.
-  bool failed = false;
-  // The reconnect daemon is mid-handshake for this lane (introspection only;
-  // the lane still counts as failed until the handshake lands).
-  bool reconnecting = false;
-  // Retired by elastic shrink: deactivated for good, excluded from failure
-  // accounting and never reconnected or reactivated.
-  bool retired = false;
+  // lane through the control plane; otherwise it stays quarantined until the
+  // handle is closed. Written only by SetLaneState.
+  LaneState state = LaneState::kHealthy;
+  // Quarantined or mid-reconnect: the lane's QP is dead.
+  bool failed() const {
+    return state == LaneState::kQuarantined ||
+           state == LaneState::kReconnecting;
+  }
   // A response dispatcher is between its probe of this lane's rings and the
   // matching consume; the reconnect daemon must not resync state under it.
   bool in_dispatch = false;
@@ -343,9 +350,6 @@ struct ServerLane {
   // vanished). Excluded from dispatch, credit grants and redistribution
   // until a control-plane reconnect revives it.
   bool failed = false;
-  // Retired by elastic shrink: never reactivated or granted credits again.
-  // Still dispatched until its request ring drains.
-  bool retired = false;
   uint64_t credits_outstanding = 0;  // granted minus (estimated) consumed
   uint64_t utilization = 0;          // U_ij: Σ reported degrees this interval
   uint64_t posts = 0;
@@ -377,7 +381,6 @@ struct SenderState {
   int client_node = -1;
   std::vector<ServerLane*> lanes;
   uint64_t utilization = 0;  // U_i
-  bool functioning = true;
   // All lanes failed (directly, or by dead-sender reclamation): the sender
   // no longer participates in the QP-scheduling budget at all.
   bool dead = false;
@@ -556,9 +559,15 @@ struct ServerState {
 
 // ---- lane lifecycle (lane.cc) ----
 
-// Marks a lane's QP as dead: deactivates it, zeroes its credits and wakes
-// the pump so queued work migrates to a surviving lane. Idempotent. With
-// lane_reconnect enabled it also kicks the reconnect daemon.
+// Moves a client lane along one edge of its lifecycle (see LaneState).
+// FLOCK_CHECKs that the edge is legal and bumps the client's lane_failures
+// (Healthy -> Quarantined) and lane_reconnects (Reconnecting -> Healthy).
+void SetLaneState(ClientLane& lane, LaneState next);
+
+// Marks a healthy lane's QP as dead: deactivates it, zeroes its credits and
+// wakes the pump so queued work migrates to a surviving lane. A no-op on a
+// lane that is already failed or retired. With lane_reconnect enabled it also
+// kicks the reconnect daemon.
 void QuarantineLane(ClientConnState& conn, ClientLane& lane);
 
 // The lane serving `thread`, applying any pending scheduler migration and
@@ -572,16 +581,11 @@ void QuarantineServerLane(ServerLane& lane, ServerStats& stats);
 // node-shared CQs are drained by whichever poller gets there first).
 void HandleSendError(const verbs::Completion& wc, ServerStats& stats);
 
-// Accelerates watchdog recovery of the RPCs accounted to a just-revived
-// lane: their deadlines collapse to "now" so the next tick retransmits.
-void ExpireLaneDeadlines(ClientConnState& conn, uint32_t lane_index);
-
-// Client half of one lane: QP + client-local memory + MRs, advertised in
-// `info`. The accept completes it via WireClientLane. Shared by the connect
-// handshake and elastic add-lane.
+// Client half of one lane: QP + client-local memory + MRs (a pooled shell
+// under qp_recycling). The accept completes it via WireClientLane. Shared by
+// the connect handshake and lazy add-lane.
 std::unique_ptr<ClientLane> BuildClientLane(NodeEnv& env, ClientConnState& conn,
-                                            uint32_t index,
-                                            ctrl::wire::ClientLaneInfo* info);
+                                            uint32_t index);
 
 // Applies a (connect/reconnect/add-lane) accept to the client lane: peer QP
 // wiring, remote addresses, posted receives, bootstrap control slot.
@@ -615,10 +619,6 @@ uint32_t HandleAddLaneRequest(NodeEnv& env, ServerState& server,
                               const ctrl::wire::MsgHeader& header,
                               const uint8_t* msg, uint8_t* resp,
                               uint32_t resp_cap);
-uint32_t HandleRetireLaneRequest(NodeEnv& env, ServerState& server,
-                                 const ctrl::wire::MsgHeader& header,
-                                 const uint8_t* msg, uint8_t* resp,
-                                 uint32_t resp_cap);
 // Orderly whole-handle close (DESIGN.md §15): tears down the named sender
 // exactly like a membership leave would, so sender-slot and tenant admission
 // accounting are reclaimed immediately. Sent by CloseConnection under
@@ -664,18 +664,18 @@ bool ConnectHandshake(ClientConnState& conn, uint32_t* server_fresh,
 // setup_in_progress / setup_cond.
 sim::Co<void> EnsureLaneSetup(ClientConnState& conn, FlockThread& thread);
 
-// Client half of connection close: retires every lane, and under qp_recycling
-// harvests the quiescent ones (no pump running, nothing in flight, not
-// mid-dispatch) into the client shell pool — ResetQp'd QP, rings, rkeys.
+// Client half of connection close: under tenancy sends the orderly
+// DisconnectRequest first, then retires every lane, and under qp_recycling
+// harvests the quiescent ones (healthy, no pump running, nothing in flight,
+// not mid-dispatch) into the client shell pool — ResetQp'd QP, rings, rkeys.
 // Non-quiescent lanes are merely retired (their resources are abandoned, as a
 // quarantine would). Marks the connection closed; the caller detaches it from
-// the client procs.
+// the client procs. A no-op on a closed connection.
 void CloseClientConn(ClientConnState& conn);
 
-// Control-plane client daemons (spawned by Connect only when the matching
-// FlockConfig flag is set, so default traces gain no procs or events).
+// Control-plane client daemon (spawned by Connect only under lane_reconnect,
+// so default traces gain no procs or events).
 sim::Proc ReconnectDaemon(ClientConnState& conn);
-sim::Proc ElasticScaler(ClientConnState& conn);
 
 }  // namespace internal
 }  // namespace flock

@@ -178,56 +178,12 @@ Connection* FlockRuntime::Connect(FlockRuntime& server, uint32_t lanes,
   return Connect(server.node_, lanes, tenant);
 }
 
-Connection* FlockRuntime::Connect(int server_node, uint32_t lanes,
-                                  tenant::TenantId tenant) {
-  lanes = std::min(lanes, config_.max_lanes_per_connection);
+std::unique_ptr<Connection> FlockRuntime::NewConnection(
+    int server_node, uint32_t lanes, tenant::TenantId tenant, bool lazy) {
   // The handshake advertises every lane in one message.
-  lanes = std::min(lanes, ctrl::wire::kMaxLanesPerMsg);
+  lanes = std::min({lanes, config_.max_lanes_per_connection,
+                    ctrl::wire::kMaxLanesPerMsg});
   FLOCK_CHECK_GT(lanes, 0u);
-
-  auto conn = std::make_unique<Connection>();
-  conn->state_.env = &env_;
-  conn->state_.client = &client_;
-  conn->state_.server_node = server_node;
-  conn->state_.target_lanes = lanes;
-  conn->state_.tenant_id = tenant;
-
-  // Client halves first: QPs, rings, MRs — their coordinates travel in the
-  // connect request. ControlPlane::Call is the out-of-band side channel
-  // (RDMA-CM style): synchronous and event-free, so the data-path trace of a
-  // fault-free run is byte-identical to the old statically-wired setup.
-  ctrl::wire::ClientLaneInfo scratch;
-  for (uint32_t i = 0; i < lanes; ++i) {
-    conn->state_.lanes.push_back(
-        internal::BuildClientLane(env_, conn->state_, i, &scratch));
-  }
-  if (!internal::ConnectHandshake(conn->state_, nullptr, nullptr)) {
-    // With tenancy on, admission control refusing a handle is a legitimate
-    // outcome surfaced as nullptr; otherwise a reject stays the legacy hard
-    // failure. The unwired lanes have posted nothing, so closing (which
-    // harvests their shells under qp_recycling) and destroying them is safe.
-    FLOCK_CHECK(config_.tenancy)
-        << "fl_connect: node " << server_node
-        << " rejected the handshake (is StartServer running there?)";
-    conn->state_.admission_rejected = true;
-    internal::CloseClientConn(conn->state_);
-    return nullptr;
-  }
-
-  FinishConnect(conn.get());
-  connections_.push_back(std::move(conn));
-  client_.conns.push_back(&connections_.back()->state_);
-  return connections_.back().get();
-}
-
-sim::Co<Connection*> FlockRuntime::ConnectAsync(int server_node,
-                                                uint32_t lanes,
-                                                tenant::TenantId tenant) {
-  lanes = std::min(lanes, config_.max_lanes_per_connection);
-  lanes = std::min(lanes, ctrl::wire::kMaxLanesPerMsg);
-  FLOCK_CHECK_GT(lanes, 0u);
-  const sim::CostModel& cost = cluster_.cost();
-
   auto conn = std::make_unique<Connection>();
   internal::ClientConnState& st = conn->state_;
   st.env = &env_;
@@ -235,21 +191,71 @@ sim::Co<Connection*> FlockRuntime::ConnectAsync(int server_node,
   st.server_node = server_node;
   st.target_lanes = lanes;
   st.tenant_id = tenant;
-  if (config_.lazy_lanes || config_.connect_piggyback) {
-    st.setup_cond = std::make_unique<sim::Condition>(cluster_.sim());
+  // Client halves first: QPs, rings, MRs — their coordinates travel in the
+  // connect request. A lazy handle builds lane 0 only; EnsureLaneSetup
+  // materializes the rest on first use.
+  for (uint32_t i = 0; i < (lazy ? 1 : lanes); ++i) {
+    st.lanes.push_back(internal::BuildClientLane(env_, st, i));
   }
+  return conn;
+}
 
-  // Eager lane set: the full request (classic) or just lane 0 (lazy_lanes) —
-  // the rest materialize on first use via EnsureLaneSetup. Unlike the
-  // setup-phase Connect, the bring-up costs simulated time, charged by
-  // provenance: a pooled shell is a cheap ResetQp transition, a fresh QP is
-  // the full create.
-  const uint32_t eager = config_.lazy_lanes ? 1 : lanes;
-  ctrl::wire::ClientLaneInfo scratch;
+void FlockRuntime::RejectConnection(internal::ClientConnState& st,
+                                    const char* api) {
+  // With tenancy on, admission control refusing a handle is a legitimate
+  // outcome surfaced as nullptr; otherwise a reject stays the legacy hard
+  // failure. The unwired lanes have posted nothing, so closing (which
+  // harvests their shells under qp_recycling) and dropping them is safe.
+  FLOCK_CHECK(config_.tenancy)
+      << api << ": node " << st.server_node
+      << " rejected the handshake (is StartServer running there?)";
+  st.admission_rejected = true;
+  internal::CloseClientConn(st);
+}
+
+Connection* FlockRuntime::FinishConnect(std::unique_ptr<Connection> conn) {
+  if (config_.lane_reconnect) {
+    FLOCK_CHECK(config_.rpc_timeout > 0)
+        << "lane_reconnect requires rpc_timeout: in-flight RPCs on a dead QP "
+           "recover only through the retry watchdog";
+    conn->state_.reconnect_cond = std::make_unique<sim::Condition>(cluster_.sim());
+    cluster_.sim().Spawn(internal::ReconnectDaemon(conn->state_), node_);
+  }
+  connections_.push_back(std::move(conn));
+  client_.conns.push_back(&connections_.back()->state_);
+  return connections_.back().get();
+}
+
+Connection* FlockRuntime::Connect(int server_node, uint32_t lanes,
+                                  tenant::TenantId tenant) {
+  std::unique_ptr<Connection> conn =
+      NewConnection(server_node, lanes, tenant, /*lazy=*/false);
+  internal::ClientConnState& st = conn->state_;
+  // ControlPlane::Call is the out-of-band side channel (RDMA-CM style):
+  // synchronous and event-free, so the data-path trace of a fault-free run
+  // is byte-identical to the old statically-wired setup.
+  if (!internal::ConnectHandshake(st, nullptr, nullptr)) {
+    RejectConnection(st, "fl_connect");
+    return nullptr;
+  }
+  return FinishConnect(std::move(conn));
+}
+
+sim::Co<Connection*> FlockRuntime::ConnectAsync(int server_node,
+                                                uint32_t lanes,
+                                                tenant::TenantId tenant) {
+  const sim::CostModel& cost = cluster_.cost();
+  // Eager lane set: the full request (classic) or just lane 0 (lazy_lanes).
+  // Unlike the setup-phase Connect, the bring-up costs simulated time,
+  // charged by provenance: a pooled shell is a cheap ResetQp transition, a
+  // fresh QP is the full create.
   const uint64_t created_before = client_.stats.qps_created;
   const uint64_t recycled_before = client_.stats.qps_recycled;
-  for (uint32_t i = 0; i < eager; ++i) {
-    st.lanes.push_back(internal::BuildClientLane(env_, st, i, &scratch));
+  std::unique_ptr<Connection> conn =
+      NewConnection(server_node, lanes, tenant, config_.lazy_lanes);
+  internal::ClientConnState& st = conn->state_;
+  if (config_.lazy_lanes || config_.connect_piggyback) {
+    st.setup_cond = std::make_unique<sim::Condition>(cluster_.sim());
   }
   co_await sim::Delay(
       cluster_.sim(),
@@ -265,46 +271,19 @@ sim::Co<Connection*> FlockRuntime::ConnectAsync(int server_node,
     uint32_t fresh = 0;
     uint32_t recycled = 0;
     if (!internal::ConnectHandshake(st, &fresh, &recycled)) {
-      FLOCK_CHECK(config_.tenancy)
-          << "fl_connect_async: node " << server_node
-          << " rejected the handshake (is StartServer running there?)";
-      st.admission_rejected = true;
-      internal::CloseClientConn(st);
+      RejectConnection(st, "fl_connect_async");
       co_return nullptr;
     }
     co_await sim::Delay(cluster_.sim(),
                         fresh * cost.qp_create + recycled * cost.qp_reset);
   }
-
-  FinishConnect(conn.get());
-  connections_.push_back(std::move(conn));
-  client_.conns.push_back(&connections_.back()->state_);
-  co_return connections_.back().get();
+  co_return FinishConnect(std::move(conn));
 }
 
 void FlockRuntime::CloseConnection(Connection* conn) {
   internal::ClientConnState& st = conn->state_;
   if (st.closed) {
     return;
-  }
-  // Orderly disconnect (DESIGN.md §15): with tenancy on, tell the server so
-  // its sender slot and the tenant's admission accounting are reclaimed now,
-  // not whenever dead-sender detection happens to notice the departed QPs.
-  // Never-handshaken handles (pending piggyback, admission rejects) hold no
-  // server-side state to release.
-  if (config_.tenancy && !st.handshake_pending && !st.admission_rejected) {
-    ctrl::ControlPlane& cp = ctrl::ControlPlane::For(cluster_);
-    ctrl::wire::DisconnectRequest req;
-    req.client_node = node_;
-    req.conn_id = st.conn_id;
-    uint8_t msg[ctrl::wire::kMaxMessageBytes];
-    uint8_t resp[ctrl::wire::kMaxMessageBytes];
-    const uint32_t msg_len = ctrl::wire::EncodeMessage(
-        msg, sizeof(msg), ctrl::wire::MsgType::kDisconnectRequest,
-        cp.NextNonce(), &req, sizeof(req));
-    // Best effort: a reject (server gone, already dead) leaves reclamation
-    // to the dead-sender path, which TearDownOneSender guards for.
-    cp.Call(st.server_node, msg, msg_len, resp, sizeof(resp));
   }
   internal::CloseClientConn(st);
   // Detach from the client procs' iteration set. The handle itself stays in
@@ -316,19 +295,6 @@ void FlockRuntime::CloseConnection(Connection* conn) {
                           static_cast<std::ptrdiff_t>(i));
       break;
     }
-  }
-}
-
-void FlockRuntime::FinishConnect(Connection* conn) {
-  if (config_.lane_reconnect) {
-    FLOCK_CHECK(config_.rpc_timeout > 0)
-        << "lane_reconnect requires rpc_timeout: in-flight RPCs on a dead QP "
-           "recover only through the retry watchdog";
-    conn->state_.reconnect_cond = std::make_unique<sim::Condition>(cluster_.sim());
-    cluster_.sim().Spawn(internal::ReconnectDaemon(conn->state_), node_);
-  }
-  if (config_.elastic_lanes) {
-    cluster_.sim().Spawn(internal::ElasticScaler(conn->state_), node_);
   }
 }
 
@@ -347,7 +313,7 @@ uint32_t Connection::num_active_lanes() const {
 uint32_t Connection::num_failed_lanes() const {
   uint32_t n = 0;
   for (const auto& lane : state_.lanes) {
-    n += lane->failed ? 1 : 0;
+    n += lane->failed() ? 1 : 0;
   }
   return n;
 }
@@ -383,21 +349,12 @@ double Connection::MeanCoalescing() const {
 }
 
 Connection::LaneStates Connection::CountLaneStates() const {
-  LaneStates s;
+  uint32_t n[4] = {};  // indexed by internal::LaneState
   for (const auto& lane : state_.lanes) {
-    if (lane->retired) {
-      s.retired += 1;
-    } else if (lane->failed) {
-      if (lane->reconnecting) {
-        s.reconnecting += 1;
-      } else {
-        s.quarantined += 1;
-      }
-    } else {
-      s.healthy += 1;
-    }
+    n[static_cast<size_t>(lane->state)] += 1;
   }
-  return s;
+  return LaneStates{
+      .healthy = n[0], .quarantined = n[1], .reconnecting = n[2], .retired = n[3]};
 }
 
 uint64_t Connection::lane_reconnects() const {
@@ -554,9 +511,6 @@ uint32_t FlockRuntime::OnCtrlMessage(const uint8_t* msg, uint32_t len,
     case ctrl::wire::MsgType::kAddLaneRequest:
       return internal::HandleAddLaneRequest(env_, server_, header, msg, resp,
                                             resp_cap);
-    case ctrl::wire::MsgType::kRetireLaneRequest:
-      return internal::HandleRetireLaneRequest(env_, server_, header, msg, resp,
-                                               resp_cap);
     case ctrl::wire::MsgType::kDisconnectRequest:
       return internal::HandleDisconnectRequest(env_, server_, header, msg,
                                                resp, resp_cap);

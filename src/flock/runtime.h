@@ -130,9 +130,9 @@ class Connection {
   // The sender key the server filed this handle under (control-plane id).
   uint32_t conn_id() const { return state_.conn_id; }
 
-  // Per-lane state rollup for introspection/bench output. A lane is healthy
-  // when neither failed nor retired; `reconnecting` counts the failed lanes
-  // the reconnect daemon is actively mid-handshake on.
+  // Per-lane state rollup for introspection/bench output: one bucket per
+  // internal::LaneState (lane.h). `reconnecting` counts the failed lanes the
+  // reconnect daemon is actively mid-handshake on; `retired` the closed ones.
   struct LaneStates {
     uint32_t healthy = 0;
     uint32_t quarantined = 0;
@@ -251,9 +251,15 @@ class FlockRuntime : public ctrl::Endpoint {
  private:
   friend class Connection;
 
-  // Spawns the per-connection daemons (reconnect, elastic) and registers the
-  // handle; shared tail of Connect and ConnectAsync.
-  void FinishConnect(Connection* conn);
+  // Shared steps of Connect and ConnectAsync. NewConnection clamps the lane
+  // count and builds the handle's client lane halves (lane 0 only if
+  // `lazy`); RejectConnection fails a handle whose handshake the server
+  // refused; FinishConnect spawns the reconnect daemon (under
+  // lane_reconnect) and registers the handle.
+  std::unique_ptr<Connection> NewConnection(int server_node, uint32_t lanes,
+                                            tenant::TenantId tenant, bool lazy);
+  void RejectConnection(internal::ClientConnState& st, const char* api);
+  Connection* FinishConnect(std::unique_ptr<Connection> conn);
 
   verbs::Cluster& cluster_;
   const int node_;

@@ -59,8 +59,8 @@ void MaybeRenewCredits(const FlockConfig& config, ClientLane& lane,
 }
 
 void ApplyCtrlSlot(NodeEnv& env, ClientLane& lane) {
-  if (lane.failed || lane.retired) {
-    return;  // quarantined/retired: stale grants must not resurrect it
+  if (lane.state != LaneState::kHealthy) {
+    return;  // failed/retired: stale grants must not resurrect it
   }
   // Polled every dispatcher pass: read through the cached pointer rather than
   // the bounds-checked chunked MemorySpace path.
@@ -249,8 +249,7 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
     // in index order so the payout is deterministic at any shard count.
     for (SenderState& sender : server.senders) {
       for (ServerLane* lane : sender.lanes) {
-        if (lane->deferred_grant == 0 || lane->failed || lane->retired ||
-            !lane->active) {
+        if (lane->deferred_grant == 0 || lane->failed || !lane->active) {
           continue;
         }
         const uint32_t pay =
@@ -299,9 +298,6 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
         any_failed = true;
         continue;
       }
-      if (lane->retired) {
-        continue;  // holds no slot and is no evidence either way
-      }
       ++live;
       lane->utilization += lane->messages_handled - lane->messages_at_last_sweep;
       sender.utilization += lane->utilization;
@@ -317,7 +313,7 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
       --sender.revive_grace;
     } else if (any_failed && live > 0 && sender.utilization == 0) {
       for (ServerLane* lane : sender.lanes) {
-        if (!lane->failed && !lane->retired) {
+        if (!lane->failed) {
           QuarantineServerLane(*lane, server.stats);
         }
       }
@@ -326,7 +322,6 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
     const bool was_dead = sender.dead;
     sender.dead = live == 0 && !sender.lanes.empty();
     if (sender.dead) {
-      sender.functioning = false;
       if (!was_dead) {
         server.stats.dead_senders += 1;
         // Release the tenant's admission accounting exactly once; the
@@ -359,19 +354,17 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
       sender.utilization = 0;
       continue;
     }
-    uint32_t lane_count = 0;  // live (non-quarantined, non-retired) lanes only
+    uint32_t lane_count = 0;  // live (non-quarantined) lanes only
     for (ServerLane* lane : sender.lanes) {
-      lane_count += (lane->failed || lane->retired) ? 0 : 1;
+      lane_count += lane->failed ? 0 : 1;
     }
     if (lane_count == 0) {
       continue;
     }
-    uint32_t target;
-    if (sender.utilization == 0 || total_utilization == 0) {
-      sender.functioning = false;  // dormant: keep one QP for the future
-      target = 1;
-    } else {
-      sender.functioning = true;
+    // Dormant senders keep one QP for the future.
+    const bool functioning = sender.utilization != 0 && total_utilization != 0;
+    uint32_t target = 1;
+    if (functioning) {
       target = static_cast<uint32_t>(
           (static_cast<uint64_t>(budget) * sender.utilization *
            sender_weight(sender)) /
@@ -389,7 +382,7 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
     for (ServerLane* lane : sender.lanes) {
       currently_active += lane->active ? 1 : 0;
     }
-    if (sender.functioning && currently_active >= 1 &&
+    if (functioning && currently_active >= 1 &&
         target + 1 == currently_active) {
       target = currently_active;
     }
@@ -411,10 +404,10 @@ void ReceiverSched::Redistribute(NodeEnv& env, ServerState& server) {
                 }
                 return a->index < b->index;
               });
-    uint32_t rank = 0;  // rank among live lanes: failed/retired hold no slot
+    uint32_t rank = 0;  // rank among live lanes: failed lanes hold no slot
     for (uint32_t i = 0; i < order.size(); ++i) {
       ServerLane& lane = *order[i];
-      if (lane.failed || lane.retired) {
+      if (lane.failed) {
         lane.messages_at_last_sweep = lane.messages_handled;
         lane.utilization = 0;
         continue;

@@ -85,7 +85,7 @@ class TenantRegistry {
   bool Registered(TenantId id) const { return Find(id) != nullptr; }
   const TenantPolicy* PolicyFor(TenantId id) const;
 
-  // ---- admission control (handshake / elastic lane growth) ----
+  // ---- admission control (handshake / lazy lane growth) ----
 
   // Charge one connection and up to `want_lanes` lanes. kAdmit with
   // lanes < want_lanes is a degraded accept. Non-admit verdicts charge

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <vector>
 
+#include "src/ctrl/control_plane.h"
 #include "src/flock/flock.h"
 #include "src/verbs/fault.h"
 
@@ -382,24 +383,42 @@ TEST(FlockFaultTest, AllLanesDeadFailsRpcsAndReclaimsSender) {
 // train is in flight. The chunks already delivered sit as a partial in the
 // server's reassembly pool — the reclamation sweep must free that entry —
 // and the watchdog must retransmit the whole extent over a surviving lane,
-// so the caller completes with correct bytes rather than hanging.
-TEST(FlockFaultTest, QpKillMidExtentReclaimsPartialAndRetransmits) {
+// so the caller completes with correct bytes rather than hanging. The second
+// configuration runs the same kill with lane_reconnect and tenancy on (a
+// registered non-default tenant): segmentation, reconnect, tenancy and fault
+// injection together. The killed lane must come back healthy, and closing the
+// handle must release the tenant's admission accounting.
+void RunQpKillMidExtent(bool reconnect_and_tenancy) {
+  constexpr tenant::TenantId kTenant = 5;
   verbs::Cluster cluster(
       verbs::Cluster::Config{.num_nodes = 2, .cores_per_node = 8});
   FlockConfig server_cfg;
   server_cfg.max_payload = 2 * 1024 * 1024;
   server_cfg.segment_threshold = 8 * 1024;
   server_cfg.reassembly_timeout = 200 * kMicrosecond;
+  server_cfg.tenancy = reconnect_and_tenancy;
   auto server = std::make_unique<FlockRuntime>(cluster, 0, server_cfg);
   server->RegisterHandler(kEchoRpc, EchoHandler);
   server->StartServer(4);
   FlockConfig client_cfg = server_cfg;
   client_cfg.rpc_timeout = 300 * kMicrosecond;
   client_cfg.max_retries = 5;
+  client_cfg.lane_reconnect = reconnect_and_tenancy;
   auto client = std::make_unique<FlockRuntime>(cluster, 1, client_cfg);
   client->StartClient();
 
-  Connection* conn = client->Connect(*server, 2);
+  tenant::TenantRegistry& tenants = ctrl::ControlPlane::For(cluster).tenants();
+  tenant::TenantId tenant_id = tenant::kDefaultTenant;
+  if (reconnect_and_tenancy) {
+    tenant_id = kTenant;
+    ctrl::ControlPlane::For(cluster).RegisterTenant(kTenant, tenant::TenantPolicy{});
+  }
+  Connection* conn = client->Connect(*server, 2, tenant_id);
+  ASSERT_NE(conn, nullptr);
+  if (reconnect_and_tenancy) {
+    EXPECT_EQ(tenants.LiveConnections(kTenant), 1u);
+    EXPECT_EQ(tenants.LiveLanes(kTenant), 2u);
+  }
   FlockThread* thread = client->CreateThread(0);
   FlockThread* small_thread = client->CreateThread(1);
 
@@ -440,7 +459,13 @@ TEST(FlockFaultTest, QpKillMidExtentReclaimsPartialAndRetransmits) {
   EXPECT_EQ(extents_ok, 3) << "no stuck callers, bytes intact";
   EXPECT_EQ(small_ok + small_fail, 600);
   EXPECT_EQ(small_fail, 0);
-  EXPECT_EQ(conn->num_failed_lanes(), 1u);
+  if (reconnect_and_tenancy) {
+    EXPECT_EQ(conn->num_failed_lanes(), 0u) << "the killed lane must revive";
+    EXPECT_GE(conn->lane_reconnects(), 1u);
+    EXPECT_EQ(conn->CountLaneStates().healthy, 2u);
+  } else {
+    EXPECT_EQ(conn->num_failed_lanes(), 1u);
+  }
   EXPECT_GE(client->client_stats().retries, 1u);
   // The partial train stranded on the dead lane was reclaimed by timeout (or
   // displaced by the retransmit landing on the same lane); either way the
@@ -449,6 +474,25 @@ TEST(FlockFaultTest, QpKillMidExtentReclaimsPartialAndRetransmits) {
   EXPECT_GT(pool.completed(), 0u);
   EXPECT_GE(pool.reclaimed() + pool.resets() + pool.orphans(), 1u);
   EXPECT_EQ(pool.in_use(), 0u);
+
+  if (reconnect_and_tenancy) {
+    // Closing sends the orderly disconnect: the tenant's connection and both
+    // lanes are released at once, whatever the kill did to them before.
+    client->CloseConnection(conn);
+    EXPECT_EQ(tenants.LiveConnections(kTenant), 0u);
+    EXPECT_EQ(tenants.LiveLanes(kTenant), 0u);
+  }
+}
+
+TEST(FlockFaultTest, QpKillMidExtentReclaimsPartialAndRetransmits) {
+  {
+    SCOPED_TRACE("quarantine only");
+    RunQpKillMidExtent(/*reconnect_and_tenancy=*/false);
+  }
+  {
+    SCOPED_TRACE("lane_reconnect + tenancy");
+    RunQpKillMidExtent(/*reconnect_and_tenancy=*/true);
+  }
 }
 
 // One-sided memops on a killed lane: the submitting coroutine gets an error
