@@ -170,41 +170,6 @@ class JsonRow {
   std::vector<std::pair<const char*, JsonValue>> fields_;
 };
 
-// End-of-run control-plane lane census, accumulated across connection
-// handles. Shared by every bench that gates on (or reports) lane health, so
-// the key names and ordering of the machine output cannot drift between
-// benches. Templated on the handle type to keep this header free of flock
-// includes (it is also used by kernel-only benches that do not link flock).
-struct LaneCensus {
-  uint64_t healthy = 0;
-  uint64_t quarantined = 0;
-  uint64_t reconnecting = 0;
-  uint64_t retired = 0;
-  uint64_t reconnects = 0;
-
-  template <typename ConnT>
-  void Add(const ConnT& conn) {
-    const auto states = conn.CountLaneStates();
-    healthy += states.healthy;
-    quarantined += states.quarantined;
-    reconnecting += states.reconnecting;
-    retired += states.retired;
-    reconnects += conn.lane_reconnects();
-  }
-
-  // Canonical census keys, in canonical order. perf_smoke's committed
-  // baseline schema predates the retired counter, so it stays opt-in.
-  void AppendTo(JsonRow* row, bool include_retired) const {
-    row->Add("lanes_healthy", healthy)
-        .Add("lanes_quarantined", quarantined)
-        .Add("lanes_reconnecting", reconnecting);
-    if (include_retired) {
-      row->Add("lanes_retired", retired);
-    }
-    row->Add("lane_reconnects", reconnects);
-  }
-};
-
 // Snapshot of the event kernel's delivery counters. Capture before and after
 // a measured region and subtract, or capture once at the end for whole-run
 // totals. Shared by perf_smoke and sim_kernel so both report the same
@@ -363,36 +328,6 @@ class JsonDump {
   std::vector<std::string> rows_;
   bool written_ = false;
 };
-
-// End-of-run per-tenant census (DESIGN.md §15): one JSON row per registered
-// tenant with a canonical key set, so every tenancy-enabled bench reports the
-// same schema. Templated on the registry type (flock::tenant::TenantRegistry)
-// to keep this header free of flock includes, mirroring LaneCensus.
-template <typename RegistryT>
-inline void AppendTenantRows(const RegistryT& registry, double sim_seconds,
-                             JsonDump* dump) {
-  registry.ForEachTenant([&](auto id, const auto& policy, const auto& c,
-                             uint32_t live_connections, uint32_t live_lanes) {
-    JsonRow row;
-    row.Add("row", "tenant")
-        .Add("tenant", static_cast<uint64_t>(id))
-        .Add("weight", policy.weight)
-        .Add("rpcs", c.rpcs)
-        .Add("rpcs_per_sec", sim_seconds > 0 ? c.rpcs / sim_seconds : 0.0)
-        .Add("bytes", c.bytes)
-        .Add("credit_stalls", c.credit_stalls)
-        .Add("quota_stalls", c.quota_stalls)
-        .Add("throttle_events", c.throttle_events)
-        .Add("throttle_recoveries", c.throttle_recoveries)
-        .Add("over_quota_windows", c.over_quota_windows)
-        .Add("admission_rejects", c.admission_rejects)
-        .Add("admission_degrades", c.admission_degrades)
-        .Add("stamp_mismatches", c.stamp_mismatches)
-        .Add("live_connections", live_connections)
-        .Add("live_lanes", live_lanes);
-    dump->Row(row);
-  });
-}
 
 }  // namespace flock::bench
 

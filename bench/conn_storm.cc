@@ -9,450 +9,151 @@
 //                 (CostModel::qp_create each), the handshake spends its
 //                 ctrl_rtt before ConnectAsync returns, every Leave bumps the
 //                 epoch and repartitions the server individually.
-//   * optimized — qp_recycling + lazy_lanes + connect_piggyback on, plus a
-//                 driver batching membership epochs in fixed windows: lane
-//                 shells harvested from closed connections are reused
-//                 (qp_reset instead of qp_create), only lane 0 exists until a
-//                 second thread shows up, and the ConnectRequest rides with
-//                 the first RPC.
+//   * optimized — qp_recycling + lazy_lanes + connect_piggyback on, plus
+//                 membership epochs batched in fixed windows: lane shells
+//                 harvested from closed connections are reused (qp_reset
+//                 instead of qp_create), only lane 0 exists until a second
+//                 thread shows up, and the ConnectRequest rides with the
+//                 first RPC.
 //
-// Each configuration runs twice; the two runs must produce identical
-// fingerprints (determinism gate). The optimized run must beat the eager
-// run's p99 TTFR by at least --min-improvement (default 2x), neither run may
-// see any control-plane reject or lane failure, and the optimized run's
-// end-of-storm census (live server lanes, sender slots, shell pools) must
-// stay bounded no matter how many sessions ran.
+// Each configuration runs twice and its row carries both runs' trace hashes.
+// bench/gates.json holds the gates: determinism, the optimized p99 TTFR gain
+// over eager, zero control-plane rejects and lane failures, and a bounded
+// end-of-storm census (live server lanes, sender slots, shell pools) no
+// matter how many sessions ran.
 //
 // Usage:
 //   conn_storm [--sessions=400] [--clients=8] [--gap-us=1000] [--lanes=4]
 //              [--rpcs=4] [--payload=64] [--batch-window-us=1000]
-//              [--min-improvement=2.0] [--json=BENCH_conn_storm.json]
-#include <algorithm>
+//              [--json=BENCH_conn_storm.json]
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <vector>
+#include <string>
 
-#include "bench/bench_util.h"
-#include "src/ctrl/control_plane.h"
-#include "src/flock/flock.h"
+#include "bench/scenario.h"
 
 namespace flock::bench {
 namespace {
 
-struct StormParams {
-  int sessions = 400;
-  int clients = 8;
-  Nanos gap = 1 * kMillisecond;  // spacing between session starts, cluster-wide
-  uint32_t lanes = 4;
-  int rpcs = 4;
-  uint32_t payload = 64;
-  Nanos batch_window = 1 * kMillisecond;  // 0 = no epoch batching
-  bool recycle = false;
-  bool lazy = false;
-  bool piggyback = false;
-};
-
-struct StormResult {
-  uint64_t done = 0;       // sessions that completed the full cycle
-  uint64_t calls_ok = 0;
-  uint64_t calls_fail = 0;
-  std::vector<int64_t> ttfr;  // per-session, -1 if the session never got there
-  int64_t ttfr_p50 = -1;
-  int64_t ttfr_p99 = -1;
-  double handshakes_per_sec = 0;
-  Nanos storm_ns = 0;  // sim-span from first session start to last completion
-  ctrl::ControlPlane::Stats cp;
-  uint64_t epoch = 0;
-  size_t replay_window = 0;
-  uint64_t client_lane_failures = 0;
-  // Server-side quarantines beyond the one each built lane gets at teardown
-  // (TearDownSenders quarantines every live lane of a departing client, so
-  // the expected total is exactly the number of server lanes ever built).
-  uint64_t unexpected_server_failures = 0;
-  uint64_t server_lane_failures = 0;
-  uint64_t qps_created = 0;   // client + server
-  uint64_t qps_recycled = 0;  // client + server
-  size_t server_live_lanes = 0;
-  size_t server_graveyard = 0;
-  size_t server_pool = 0;
-  size_t client_pool = 0;
-  size_t sender_slots = 0;
-  uint64_t fingerprint = 0;  // determinism: TTFRs + counters, order-sensitive
-};
-
-struct StormShared {
-  sim::Simulator* sim = nullptr;
-  ctrl::ControlPlane* cp = nullptr;
-  const StormParams* p = nullptr;
-  int server_node = 0;
-  StormResult* r = nullptr;
-  Nanos last_done_at = 0;
-};
-
-// One proc per client node: runs the node's share of the session schedule.
-// Session k (global index) starts at k * gap, so the aggregate join rate is
-// 1/gap regardless of how many client nodes carry the storm.
-sim::Proc SessionDriver(StormShared& sh, FlockRuntime& rt, FlockThread* thread,
-                        int client_index) {
-  const StormParams& p = *sh.p;
-  std::vector<uint8_t> payload(p.payload, 0x42);
-  std::vector<uint8_t> resp;
-  for (int s = client_index; s < p.sessions; s += p.clients) {
-    const Nanos target = static_cast<Nanos>(s) * p.gap;
-    if (sh.sim->Now() < target) {
-      co_await sim::Delay(*sh.sim, target - sh.sim->Now());
-    }
-    const Nanos t0 = sh.sim->Now();
-    sh.cp->Join(rt.node());
-    Connection* conn = co_await rt.ConnectAsync(sh.server_node, p.lanes);
-    for (int i = 0; i < p.rpcs; ++i) {
-      if (co_await conn->Call(*thread, 1, payload.data(), p.payload, &resp)) {
-        sh.r->calls_ok += 1;
-      } else {
-        sh.r->calls_fail += 1;
-      }
-      if (i == 0) {
-        sh.r->ttfr[static_cast<size_t>(s)] =
-            static_cast<int64_t>(sh.sim->Now() - t0);
-      }
-    }
-    // Step off the response dispatcher's stack before closing: the last
-    // Call's awaiter resumes inline from the dispatcher pass (in_dispatch is
-    // still set), and CloseConnection only harvests quiescent lanes into the
-    // recycling pool.
-    co_await sim::Delay(*sh.sim, 1 * kMicrosecond);
-    rt.CloseConnection(conn);
-    sh.cp->Leave(rt.node());
-    sh.r->done += 1;
-    sh.last_done_at = sh.sim->Now();
-  }
-}
-
-// Membership-epoch batching: Leaves (and Joins) landing inside one window are
-// coalesced into a single epoch bump and one server repartition at window
-// end. Membership itself flips immediately, so admission checks stay exact.
-sim::Proc EpochBatchDriver(StormShared& sh) {
-  const uint64_t total = static_cast<uint64_t>(sh.p->sessions);
-  while (sh.r->done < total) {
-    sh.cp->BeginEpochBatch();
-    co_await sim::Delay(*sh.sim, sh.p->batch_window);
-    sh.cp->EndEpochBatch();
-  }
-}
-
-StormResult RunStorm(const StormParams& p) {
-  verbs::Cluster cluster(verbs::Cluster::Config{
-      .num_nodes = p.clients + 1, .cores_per_node = 16});
-  ctrl::ControlPlane& cp = ctrl::ControlPlane::For(cluster);
-
-  FlockConfig server_cfg;
-  server_cfg.qp_recycling = p.recycle;  // the harvest side of the pool
-  FlockRuntime server(cluster, 0, server_cfg);
-  server.RegisterHandler(1, [](const uint8_t* req, uint32_t req_len,
-                               uint8_t* resp, uint32_t, Nanos* cpu) -> uint32_t {
-    *cpu = 50;
-    std::memcpy(resp, req, req_len);
-    return req_len;
-  });
-  server.StartServer(4);
-
-  FlockConfig client_cfg;
-  client_cfg.qp_recycling = p.recycle;
-  client_cfg.lazy_lanes = p.lazy;
-  client_cfg.connect_piggyback = p.piggyback;
-  std::vector<std::unique_ptr<FlockRuntime>> clients;
-  std::vector<FlockThread*> threads;
-  for (int c = 0; c < p.clients; ++c) {
-    clients.push_back(
-        std::make_unique<FlockRuntime>(cluster, c + 1, client_cfg));
-    clients.back()->StartClient();
-    threads.push_back(clients.back()->CreateThread(2));
-  }
-
-  StormResult r;
-  r.ttfr.assign(static_cast<size_t>(p.sessions), -1);
-  StormShared sh;
-  sh.sim = &cluster.sim();
-  sh.cp = &cp;
-  sh.p = &p;
-  sh.server_node = 0;
-  sh.r = &r;
-
+Scenario Storm(const Flags& flags, bool optimized) {
+  const int sessions = static_cast<int>(flags.Int("sessions", 400));
+  const Nanos gap = flags.Int("gap-us", 1000) * kMicrosecond;
+  Scenario s;
+  s.clients = static_cast<int>(flags.Int("clients", 8));
+  s.cores_per_node = 16;
+  s.server_cfg.qp_recycling = optimized;  // the harvest side of the pool
+  s.client_cfg.qp_recycling = optimized;
+  s.client_cfg.lazy_lanes = optimized;
+  s.client_cfg.connect_piggyback = optimized;
   // The storm's client nodes start outside the cluster: each session Joins on
-  // entry and Leaves on exit, the way the ISSUE's ephemeral clients would.
-  for (int c = 0; c < p.clients; ++c) {
-    cp.Leave(c + 1);
-  }
+  // entry and Leaves on exit.
+  s.loads.push_back(Load{.name = "calls",
+                         .kind = Load::Kind::kSessions,
+                         .nodes = s.clients,
+                         .first_core = 2,
+                         .lanes = static_cast<uint32_t>(flags.Int("lanes", 4)),
+                         .payload = static_cast<uint32_t>(flags.Int("payload", 64)),
+                         .calls = static_cast<int>(flags.Int("rpcs", 4)),
+                         .sessions = sessions,
+                         .gap = gap,
+                         .membership = true});
+  s.epoch_batch =
+      optimized ? flags.Int("batch-window-us", 1000) * kMicrosecond : 0;
+  // The server's schedulers tick forever, so the simulation never goes idle
+  // on its own; the cap only trips if the storm wedges.
+  s.cap = static_cast<Nanos>(sessions) * gap + 200 * kMillisecond;
+  return s;
+}
 
-  for (int c = 0; c < p.clients; ++c) {
-    cluster.sim().Spawn(SessionDriver(sh, *clients[c], threads[c], c));
+void AddRow(JsonDump* json, const char* name, const Scenario& s,
+            const ScenarioResult& r, const ScenarioResult& rerun) {
+  const Load& load = s.loads.front();
+  const ClassResult& calls = r.Class("calls");
+  const Nanos storm_ns = calls.last_done;  // first start to last completion
+  const uint64_t qps_created = r.ServerTotal(&ServerStats::qps_created) +
+                               r.ClientTotal(&ClientStats::qps_created);
+  const uint64_t qps_recycled = r.ServerTotal(&ServerStats::qps_recycled) +
+                                r.ClientTotal(&ClientStats::qps_recycled);
+  // Server-side quarantines beyond the one each built lane gets at teardown
+  // (a departing client's live lanes are all quarantined, so the expected
+  // total is exactly the number of server lanes ever built).
+  const uint64_t server_failures = r.ServerTotal(&ServerStats::lane_failures);
+  const uint64_t server_built = r.ServerTotal(&ServerStats::qps_created) +
+                                r.ServerTotal(&ServerStats::qps_recycled);
+  TraceHash fingerprint;
+  for (const int64_t t : calls.ttfr_ns) {
+    fingerprint.Mix(static_cast<uint64_t>(t));
   }
-  if (p.batch_window > 0) {
-    cluster.sim().Spawn(EpochBatchDriver(sh));
-  }
-
-  // Run until every session completed (the server's schedulers tick forever,
-  // so the simulation never goes idle on its own). The cap only trips if the
-  // storm wedges — sessions not done by then fail the gates below.
-  const Nanos cap = static_cast<Nanos>(p.sessions) * p.gap + 200 * kMillisecond;
-  while (r.done < static_cast<uint64_t>(p.sessions) &&
-         cluster.sim().Now() < cap) {
-    cluster.sim().RunFor(1 * kMillisecond);
-  }
-
-  std::vector<int64_t> sorted;
-  for (int64_t t : r.ttfr) {
-    if (t >= 0) {
-      sorted.push_back(t);
-    }
-  }
-  std::sort(sorted.begin(), sorted.end());
-  if (!sorted.empty()) {
-    r.ttfr_p50 = sorted[sorted.size() / 2];
-    r.ttfr_p99 = sorted[sorted.size() * 99 / 100];
-  }
-  r.storm_ns = sh.last_done_at;
-  r.handshakes_per_sec =
-      r.storm_ns == 0 ? 0
-                      : static_cast<double>(r.done) * 1e9 /
-                            static_cast<double>(r.storm_ns);
-  r.cp = cp.stats();
-  r.epoch = cp.epoch();
-  r.replay_window = cp.replay_window_entries();
-  r.server_lane_failures = server.server_stats().lane_failures;
-  r.qps_created = server.server_stats().qps_created;
-  r.qps_recycled = server.server_stats().qps_recycled;
-  const uint64_t server_lanes_built =
-      server.server_stats().qps_created + server.server_stats().qps_recycled;
-  r.unexpected_server_failures =
-      r.server_lane_failures > server_lanes_built
-          ? r.server_lane_failures - server_lanes_built
-          : 0;
-  r.server_live_lanes = server.ServerLiveLanes();
-  r.server_graveyard = server.ServerGraveyardLanes();
-  r.server_pool = server.ServerLanePool();
-  r.sender_slots = server.ServerSenderSlots();
-  for (const auto& client : clients) {
-    r.client_lane_failures += client->client_stats().lane_failures;
-    r.qps_created += client->client_stats().qps_created;
-    r.qps_recycled += client->client_stats().qps_recycled;
-    r.client_pool += client->ClientLanePool();
-  }
-
-  TraceHash hash;
-  for (int64_t t : r.ttfr) {
-    hash.Mix(static_cast<uint64_t>(t));
-  }
-  hash.Mix(r.done)
-      .Mix(r.calls_ok)
-      .Mix(r.calls_fail)
-      .Mix(r.cp.calls)
+  fingerprint.Mix(calls.sessions)
+      .Mix(calls.ok)
+      .Mix(calls.fail)
+      .Mix(r.ctrl.calls)
       .Mix(r.epoch)
-      .Mix(static_cast<uint64_t>(r.storm_ns))
-      .Mix(r.qps_created)
-      .Mix(r.qps_recycled);
-  r.fingerprint = hash.value();
-  return r;
-}
+      .Mix(static_cast<uint64_t>(storm_ns))
+      .Mix(qps_created)
+      .Mix(qps_recycled);
+  std::printf("%-10s %6lu sessions, p50 %.1f us, p99 %.1f us, %lu qps new, "
+              "%lu recycled, %lu epochs\n",
+              name, static_cast<unsigned long>(calls.sessions),
+              static_cast<double>(ExactPercentile(calls.ttfr_ns, 50)) / 1e3,
+              static_cast<double>(ExactPercentile(calls.ttfr_ns, 99)) / 1e3,
+              static_cast<unsigned long>(qps_created),
+              static_cast<unsigned long>(qps_recycled),
+              static_cast<unsigned long>(r.epoch));
 
-uint64_t TotalRejects(const StormResult& r) {
-  return r.cp.rejected_malformed + r.cp.rejected_replay +
-         r.cp.rejected_no_endpoint + r.cp.rejected_not_member;
-}
-
-void PrintRow(const char* name, const StormResult& r) {
-  std::printf("%-10s %9lu %12.0f %10.1f %10.1f %8lu %8lu %7lu %7lu\n", name,
-              static_cast<unsigned long>(r.done), r.handshakes_per_sec,
-              static_cast<double>(r.ttfr_p50) / 1e3,
-              static_cast<double>(r.ttfr_p99) / 1e3,
-              static_cast<unsigned long>(r.qps_created),
-              static_cast<unsigned long>(r.qps_recycled),
-              static_cast<unsigned long>(TotalRejects(r)),
-              static_cast<unsigned long>(r.client_lane_failures +
-                                         r.unexpected_server_failures));
-  std::printf("CSV,conn_storm,%s,%lu,%.0f,%ld,%ld,%lu,%lu\n", name,
-              static_cast<unsigned long>(r.done), r.handshakes_per_sec,
-              static_cast<long>(r.ttfr_p50), static_cast<long>(r.ttfr_p99),
-              static_cast<unsigned long>(r.qps_created),
-              static_cast<unsigned long>(r.qps_recycled));
-}
-
-void AddRow(JsonDump* json, const char* name, const StormParams& p,
-            const StormResult& r) {
   JsonRow row;
   row.Add("config", name)
-      .Add("sessions", p.sessions)
-      .Add("clients", p.clients)
-      .Add("gap_us", static_cast<int64_t>(p.gap / kMicrosecond))
-      .Add("lanes", p.lanes)
-      .Add("rpcs_per_session", p.rpcs)
-      .Add("batch_window_us", static_cast<int64_t>(p.batch_window / kMicrosecond))
-      .Add("done", r.done)
-      .Add("handshakes_per_sec", r.handshakes_per_sec)
-      .Add("ttfr_p50_ns", r.ttfr_p50)
-      .Add("ttfr_p99_ns", r.ttfr_p99)
-      .Add("calls_ok", r.calls_ok)
-      .Add("calls_fail", r.calls_fail)
-      .Add("ctrl_calls", r.cp.calls)
-      .Add("rejected_malformed", r.cp.rejected_malformed)
-      .Add("rejected_replay", r.cp.rejected_replay)
-      .Add("rejected_no_endpoint", r.cp.rejected_no_endpoint)
-      .Add("rejected_not_member", r.cp.rejected_not_member)
-      .Add("joins", r.cp.joins)
-      .Add("leaves", r.cp.leaves)
+      .Add("sessions", load.sessions)
+      .Add("clients", s.clients)
+      .Add("gap_us", static_cast<int64_t>(load.gap / kMicrosecond))
+      .Add("lanes", load.lanes)
+      .Add("rpcs_per_session", load.calls)
+      .Add("batch_window_us", static_cast<int64_t>(s.epoch_batch / kMicrosecond))
+      .Add("done", calls.sessions)
+      .Add("handshakes_per_sec",
+           storm_ns == 0 ? 0
+                         : static_cast<double>(calls.sessions) * 1e9 /
+                               static_cast<double>(storm_ns))
+      .Add("ttfr_p50_ns", ExactPercentile(calls.ttfr_ns, 50))
+      .Add("ttfr_p99_ns", ExactPercentile(calls.ttfr_ns, 99))
+      .Add("calls_ok", calls.ok)
+      .Add("calls_fail", calls.fail)
+      .Add("ctrl_calls", r.ctrl.calls)
+      .Add("rejected_malformed", r.ctrl.rejected_malformed)
+      .Add("rejected_replay", r.ctrl.rejected_replay)
+      .Add("rejected_no_endpoint", r.ctrl.rejected_no_endpoint)
+      .Add("rejected_not_member", r.ctrl.rejected_not_member)
+      .Add("joins", r.ctrl.joins)
+      .Add("leaves", r.ctrl.leaves)
       .Add("epoch", r.epoch)
-      .Add("epoch_batches", r.cp.epoch_batches)
-      .Add("replay_window_entries", static_cast<uint64_t>(r.replay_window))
-      .Add("qps_created", r.qps_created)
-      .Add("qps_recycled", r.qps_recycled)
-      .Add("client_lane_failures", r.client_lane_failures)
-      .Add("server_lane_failures", r.server_lane_failures)
-      .Add("unexpected_server_failures", r.unexpected_server_failures)
-      .Add("server_live_lanes", static_cast<uint64_t>(r.server_live_lanes))
-      .Add("server_graveyard", static_cast<uint64_t>(r.server_graveyard))
-      .Add("server_lane_pool", static_cast<uint64_t>(r.server_pool))
-      .Add("client_lane_pool", static_cast<uint64_t>(r.client_pool))
-      .Add("sender_slots", static_cast<uint64_t>(r.sender_slots))
-      .Add("fingerprint", r.fingerprint);
+      .Add("epoch_batches", r.ctrl.epoch_batches)
+      .Add("replay_window_entries", r.replay_window)
+      .Add("qps_created", qps_created)
+      .Add("qps_recycled", qps_recycled)
+      .Add("client_lane_failures", r.ClientTotal(&ClientStats::lane_failures))
+      .Add("server_lane_failures", server_failures)
+      .Add("unexpected_server_failures",
+           server_failures > server_built ? server_failures - server_built : 0)
+      .Add("server_live_lanes", r.server_live_lanes)
+      .Add("server_graveyard", r.server_graveyard)
+      .Add("server_lane_pool", r.server_lane_pool)
+      .Add("client_lane_pool", r.client_lane_pool)
+      .Add("sender_slots", r.sender_slots)
+      .Add("fingerprint", fingerprint.value())
+      .Add("trace_hash", std::to_string(r.trace_hash))
+      .Add("trace_hash_rerun", std::to_string(rerun.trace_hash));
   json->Row(row);
-}
-
-// Gates shared by both configurations: every session must complete with every
-// RPC answered, and a storm of well-formed traffic must produce zero
-// control-plane rejects and zero lane failures on either side.
-bool CheckCommon(const char* name, const StormParams& p, const StormResult& r) {
-  bool pass = true;
-  if (r.done != static_cast<uint64_t>(p.sessions)) {
-    std::printf("FAIL: %s completed %lu of %d sessions\n", name,
-                static_cast<unsigned long>(r.done), p.sessions);
-    pass = false;
-  }
-  if (r.calls_fail != 0) {
-    std::printf("FAIL: %s saw %lu failed RPCs\n", name,
-                static_cast<unsigned long>(r.calls_fail));
-    pass = false;
-  }
-  if (TotalRejects(r) != 0) {
-    std::printf("FAIL: %s control-plane rejects: malformed=%lu replay=%lu "
-                "no_endpoint=%lu not_member=%lu\n",
-                name, static_cast<unsigned long>(r.cp.rejected_malformed),
-                static_cast<unsigned long>(r.cp.rejected_replay),
-                static_cast<unsigned long>(r.cp.rejected_no_endpoint),
-                static_cast<unsigned long>(r.cp.rejected_not_member));
-    pass = false;
-  }
-  if (r.client_lane_failures != 0 || r.unexpected_server_failures != 0) {
-    std::printf("FAIL: %s lane failures: client=%lu server(unexpected)=%lu\n",
-                name, static_cast<unsigned long>(r.client_lane_failures),
-                static_cast<unsigned long>(r.unexpected_server_failures));
-    pass = false;
-  }
-  if (r.replay_window > ctrl::ControlPlane::kNonceWindow) {
-    std::printf("FAIL: %s replay window grew to %lu entries\n", name,
-                static_cast<unsigned long>(r.replay_window));
-    pass = false;
-  }
-  return pass;
 }
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  StormParams p;
-  p.sessions = static_cast<int>(flags.Int("sessions", 400));
-  p.clients = static_cast<int>(flags.Int("clients", 8));
-  p.gap = flags.Int("gap-us", 1000) * kMicrosecond;
-  p.lanes = static_cast<uint32_t>(flags.Int("lanes", 4));
-  p.rpcs = static_cast<int>(flags.Int("rpcs", 4));
-  p.payload = static_cast<uint32_t>(flags.Int("payload", 64));
-  const Nanos batch_window = flags.Int("batch-window-us", 1000) * kMicrosecond;
-  const double min_improvement = flags.Double("min-improvement", 2.0);
   JsonDump json(flags.Str("json", "BENCH_conn_storm.json"), "conn_storm");
-
-  StormParams eager = p;  // storm flags off, per-event epochs
-  eager.batch_window = 0;
-  StormParams optimized = p;
-  optimized.recycle = true;
-  optimized.lazy = true;
-  optimized.piggyback = true;
-  optimized.batch_window = batch_window;
-
   PrintBanner("conn_storm: Join -> connect -> RPC burst -> Leave under churn");
-  std::printf("%d sessions across %d client nodes, one every %ld us "
-              "(%.0f joins/s offered)\n",
-              p.sessions, p.clients, static_cast<long>(p.gap / kMicrosecond),
-              1e9 / static_cast<double>(p.gap));
-
-  // Each configuration runs twice; run 2 must reproduce run 1 bit-for-bit.
-  const StormResult e1 = RunStorm(eager);
-  const StormResult e2 = RunStorm(eager);
-  const StormResult o1 = RunStorm(optimized);
-  const StormResult o2 = RunStorm(optimized);
-
-  std::printf("%-10s %9s %12s %10s %10s %8s %8s %7s %7s\n", "config", "done",
-              "handshakes/s", "p50_us", "p99_us", "qp_new", "qp_rec", "rej",
-              "lane_f");
-  PrintRow("eager", e1);
-  PrintRow("optimized", o1);
-  std::printf("epochs: eager %lu bumps, optimized %lu bumps in %lu batches\n",
-              static_cast<unsigned long>(e1.epoch),
-              static_cast<unsigned long>(o1.epoch),
-              static_cast<unsigned long>(o1.cp.epoch_batches));
-  AddRow(&json, "eager", eager, e1);
-  AddRow(&json, "optimized", optimized, o1);
-
-  bool pass = CheckCommon("eager", eager, e1);
-  pass = CheckCommon("optimized", optimized, o1) && pass;
-  if (e1.fingerprint != e2.fingerprint || o1.fingerprint != o2.fingerprint) {
-    std::printf("FAIL: determinism: eager %016lx/%016lx optimized %016lx/%016lx\n",
-                static_cast<unsigned long>(e1.fingerprint),
-                static_cast<unsigned long>(e2.fingerprint),
-                static_cast<unsigned long>(o1.fingerprint),
-                static_cast<unsigned long>(o2.fingerprint));
-    pass = false;
+  for (const bool optimized : {false, true}) {
+    const Scenario s = Storm(flags, optimized);
+    const ScenarioResult r = RunScenario(s);
+    AddRow(&json, optimized ? "optimized" : "eager", s, r, RunScenario(s));
   }
-  const double improvement =
-      o1.ttfr_p99 <= 0 ? 0
-                       : static_cast<double>(e1.ttfr_p99) /
-                             static_cast<double>(o1.ttfr_p99);
-  std::printf("p99 TTFR: eager %.1f us, optimized %.1f us -> %.1fx\n",
-              static_cast<double>(e1.ttfr_p99) / 1e3,
-              static_cast<double>(o1.ttfr_p99) / 1e3, improvement);
-  if (improvement < min_improvement) {
-    std::printf("FAIL: p99 TTFR improvement %.2fx below %.2fx\n", improvement,
-                min_improvement);
-    pass = false;
-  }
-  if (o1.qps_recycled == 0) {
-    std::printf("FAIL: optimized run never recycled a QP\n");
-    pass = false;
-  }
-  // Census bounds (optimized only — without recycling, retired lanes and
-  // sender slots accumulate by design and the eager run documents it). After
-  // the last Leave's teardown, no live server lanes remain, the shell pools
-  // hold at most the storm's concurrent footprint, and sender slots were
-  // reused rather than grown per session.
-  const size_t slot_bound = static_cast<size_t>(p.clients) * 2;
-  if (o1.server_live_lanes != 0) {
-    std::printf("FAIL: %lu live server lanes after the storm\n",
-                static_cast<unsigned long>(o1.server_live_lanes));
-    pass = false;
-  }
-  if (o1.sender_slots > slot_bound) {
-    std::printf("FAIL: sender slots grew to %lu (bound %lu)\n",
-                static_cast<unsigned long>(o1.sender_slots),
-                static_cast<unsigned long>(slot_bound));
-    pass = false;
-  }
-  if (o1.server_pool > static_cast<size_t>(p.clients) * p.lanes ||
-      o1.client_pool > static_cast<size_t>(p.clients) * p.lanes) {
-    std::printf("FAIL: shell pools grew: server=%lu client=%lu\n",
-                static_cast<unsigned long>(o1.server_pool),
-                static_cast<unsigned long>(o1.client_pool));
-    pass = false;
-  }
-  std::printf("%s\n", pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

@@ -14,20 +14,16 @@
 //                       same bucket (-1 if throughput never recovers).
 // With --reconnect=1 the lane is re-established through the control plane
 // (fresh QP pair, ring resync, replay), so steady state runs at full lane
-// count and the bench gates recovery at >= 99%. With --reconnect=0 the
-// legacy quarantine-only behaviour applies (one lane short, gate 90%).
+// count; with --reconnect=0 the quarantine-only behaviour applies (one lane
+// short). bench/gates.json holds the recovery bounds of both modes.
 //
 // Usage:
 //   fault_recovery [--threads=16] [--lanes=8] [--payload=64] [--sim-ms=20]
 //                  [--timeout-us=200] [--retries=5] [--reconnect=1]
-//                  [--min-recovery=0.99] [--json=BENCH_fault_recovery.json]
+//                  [--buckets=1] [--json=BENCH_fault_recovery.json]
 #include <cstdint>
-#include <cstring>
-#include <memory>
-#include <vector>
 
-#include "bench/bench_util.h"
-#include "src/flock/flock.h"
+#include "bench/scenario.h"
 
 namespace flock::bench {
 namespace {
@@ -36,101 +32,46 @@ namespace {
 // (span/4) so bucketed baseline/faulted comparisons line up.
 constexpr int kBuckets = 40;
 
-struct RecoveryResult {
-  uint64_t ok = 0;            // RPCs completed successfully over the full run
-  uint64_t fail = 0;          // RPCs surfaced as ok=false
-  uint64_t window_rpcs = 0;   // completions inside the final-quarter window
-  uint64_t retries = 0;
-  uint64_t failed_rpcs = 0;
-  uint64_t spurious = 0;
-  uint64_t client_lane_failures = 0;
-  uint64_t server_lane_failures = 0;
-  // Control-plane outcome (end-of-run lane census + revival counts).
-  LaneCensus lanes;
-  uint64_t buckets[kBuckets] = {};  // completions per sim-time bucket
-};
-
-sim::Proc EchoWorker(Connection* conn, FlockThread* thread, uint32_t payload_bytes,
-                     uint64_t* ok, uint64_t* fail) {
-  std::vector<uint8_t> payload(payload_bytes, 0x5a);
-  std::vector<uint8_t> resp;
-  for (;;) {
-    if (co_await conn->Call(*thread, 1, payload.data(), payload_bytes, &resp)) {
-      (*ok)++;
-    } else {
-      (*fail)++;
-    }
-  }
-}
-
-RecoveryResult RunOnce(bool inject, bool reconnect, int threads, uint32_t lanes,
-                       uint32_t payload_bytes, Nanos sim_span, Nanos rpc_timeout,
-                       uint32_t max_retries) {
-  verbs::Cluster cluster(verbs::Cluster::Config{.num_nodes = 2,
-                                                .cores_per_node = 34});
-  FlockConfig server_cfg;
-  FlockRuntime server(cluster, 0, server_cfg);
-  server.RegisterHandler(1, [](const uint8_t* req, uint32_t req_len, uint8_t* resp,
-                               uint32_t, Nanos* cpu) -> uint32_t {
-    *cpu = 50;
-    std::memcpy(resp, req, req_len);
-    return req_len;
-  });
-  server.StartServer(4);
-
-  FlockConfig client_cfg;
-  client_cfg.rpc_timeout = rpc_timeout;
-  client_cfg.max_retries = static_cast<uint16_t>(max_retries);
-  client_cfg.lane_reconnect = reconnect;
+Scenario Echo(const Flags& flags, bool inject) {
+  Scenario s;
+  s.client_cfg.rpc_timeout = flags.Int("timeout-us", 200) * kMicrosecond;
+  s.client_cfg.max_retries = static_cast<uint16_t>(flags.Int("retries", 5));
+  s.client_cfg.lane_reconnect = flags.Int("reconnect", 1) != 0;
   // Two response dispatchers so the client is not the saturated resource:
   // with a single dispatcher at this thread count, the measurement is of the
   // client's CPU ceiling (a revived lane re-enters phase-shifted from the
   // others, costing the shared dispatcher an extra probe pass per cycle —
   // a ~5% tax that would mask the recovery this bench is actually gating).
-  client_cfg.response_dispatchers = 2;
-  FlockRuntime client(cluster, 1, client_cfg);
-  client.StartClient();
-  Connection* conn = client.Connect(server, lanes);
+  s.client_cfg.response_dispatchers = 2;
+  s.loads.push_back(
+      Load{.name = "echo",
+           .threads = static_cast<int>(flags.Int("threads", 16)),
+           .lanes = static_cast<uint32_t>(flags.Int("lanes", 8)),
+           .payload = static_cast<uint32_t>(flags.Int("payload", 64))});
+  s.measure = flags.Int("sim-ms", 20) * kMillisecond;
+  s.buckets = kBuckets;
+  s.kill_lane_at = inject ? s.measure / 4 : 0;
+  return s;
+}
 
-  RecoveryResult r;
-  for (int t = 0; t < threads; ++t) {
-    cluster.sim().Spawn(
-        EchoWorker(conn, client.CreateThread(t), payload_bytes, &r.ok, &r.fail));
-  }
-  if (inject) {
-    cluster.fault().KillQpAt(sim_span / 4, /*node=*/1, conn->lane(0).qp->qpn());
-  }
-
-  uint64_t last = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    cluster.sim().RunFor(sim_span / kBuckets);
-    const uint64_t now = r.ok + r.fail;
-    r.buckets[b] = now - last;
-    last = now;
-  }
-
+uint64_t FinalQuarter(const ScenarioResult& r) {
+  uint64_t n = 0;
   for (int b = kBuckets - kBuckets / 4; b < kBuckets; ++b) {
-    r.window_rpcs += r.buckets[b];
+    n += r.buckets[static_cast<size_t>(b)];
   }
-  r.retries = client.client_stats().retries;
-  r.failed_rpcs = client.client_stats().failed_rpcs;
-  r.spurious = client.client_stats().spurious_responses;
-  r.client_lane_failures = client.client_stats().lane_failures;
-  r.server_lane_failures = server.server_stats().lane_failures;
-  r.lanes.Add(*conn);
-  return r;
+  return n;
 }
 
 // Sim-ns from the kill until faulted per-bucket throughput is back within 1%
 // of the baseline's matching bucket; -1 if it never gets there.
-int64_t RecoveryTimeNs(const RecoveryResult& base, const RecoveryResult& faulted,
+int64_t RecoveryTimeNs(const ScenarioResult& base, const ScenarioResult& faulted,
                        Nanos sim_span) {
   const Nanos bucket_ns = sim_span / kBuckets;
   const Nanos kill_ns = sim_span / 4;
-  const int kill_bucket = static_cast<int>(kill_ns / bucket_ns);
-  for (int b = kill_bucket; b < kBuckets; ++b) {
-    const double target = 0.99 * static_cast<double>(base.buckets[b]);
-    if (base.buckets[b] > 0 && static_cast<double>(faulted.buckets[b]) >= target) {
+  for (int b = static_cast<int>(kill_ns / bucket_ns); b < kBuckets; ++b) {
+    const auto i = static_cast<size_t>(b);
+    const double target = 0.99 * static_cast<double>(base.buckets[i]);
+    if (base.buckets[i] > 0 && static_cast<double>(faulted.buckets[i]) >= target) {
       return static_cast<int64_t>((b + 1) * bucket_ns - kill_ns);
     }
   }
@@ -139,141 +80,69 @@ int64_t RecoveryTimeNs(const RecoveryResult& base, const RecoveryResult& faulted
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const int threads = static_cast<int>(flags.Int("threads", 16));
-  const uint32_t lanes = static_cast<uint32_t>(flags.Int("lanes", 8));
-  const uint32_t payload = static_cast<uint32_t>(flags.Int("payload", 64));
-  const Nanos sim_span = flags.Int("sim-ms", 20) * kMillisecond;
-  const Nanos timeout = flags.Int("timeout-us", 200) * kMicrosecond;
-  const uint32_t retries = static_cast<uint32_t>(flags.Int("retries", 5));
-  const bool reconnect = flags.Int("reconnect", 1) != 0;
-  // Reconnect restores the full lane count, so steady state must be within
-  // 1% of fault-free; quarantine-only mode runs one lane short (gate 90%).
-  const double min_recovery = flags.Double("min-recovery", reconnect ? 0.99 : 0.9);
   JsonDump json(flags.Str("json", "BENCH_fault_recovery.json"), "fault_recovery");
-
-  PrintBanner(reconnect
+  const Scenario base_s = Echo(flags, /*inject=*/false);
+  const Scenario faulted_s = Echo(flags, /*inject=*/true);
+  const FlockConfig& cfg = base_s.client_cfg;
+  const Load& load = base_s.loads.front();
+  PrintBanner(cfg.lane_reconnect
                   ? "fault_recovery: kill 1 lane mid-run, reconnect via control plane"
                   : "fault_recovery: throughput after killing 1 lane mid-run");
-  const RecoveryResult base =
-      RunOnce(false, reconnect, threads, lanes, payload, sim_span, timeout, retries);
-  const RecoveryResult faulted =
-      RunOnce(true, reconnect, threads, lanes, payload, sim_span, timeout, retries);
+  const ScenarioResult base = RunScenario(base_s);
+  const ScenarioResult faulted = RunScenario(faulted_s);
 
-  const double recovery = base.window_rpcs == 0
+  const uint64_t base_window = FinalQuarter(base);
+  const uint64_t faulted_window = FinalQuarter(faulted);
+  const double recovery = base_window == 0
                               ? 0.0
-                              : static_cast<double>(faulted.window_rpcs) /
-                                    static_cast<double>(base.window_rpcs);
-  const int64_t recovery_ns = RecoveryTimeNs(base, faulted, sim_span);
+                              : static_cast<double>(faulted_window) /
+                                    static_cast<double>(base_window);
+  const int64_t recovery_ns = RecoveryTimeNs(base, faulted, base_s.measure);
   if (flags.Int("buckets", 0) != 0) {
     for (int b = 0; b < kBuckets; ++b) {
-      std::printf("bucket %2d: base %6lu faulted %6lu (%.3f)\n", b,
-                  static_cast<unsigned long>(base.buckets[b]),
-                  static_cast<unsigned long>(faulted.buckets[b]),
-                  base.buckets[b] == 0
-                      ? 0.0
-                      : static_cast<double>(faulted.buckets[b]) /
-                            static_cast<double>(base.buckets[b]));
+      const auto i = static_cast<size_t>(b);
+      std::printf("bucket %2d: base %6lu faulted %6lu\n", b,
+                  static_cast<unsigned long>(base.buckets[i]),
+                  static_cast<unsigned long>(faulted.buckets[i]));
     }
   }
-  std::printf("%-10s %12s %10s %10s %10s %10s %10s\n", "run", "window", "ok",
-              "fail", "retries", "lane_f", "spurious");
-  std::printf("%-10s %12lu %10lu %10lu %10lu %10lu %10lu\n", "baseline",
-              static_cast<unsigned long>(base.window_rpcs),
-              static_cast<unsigned long>(base.ok),
-              static_cast<unsigned long>(base.fail),
-              static_cast<unsigned long>(base.retries),
-              static_cast<unsigned long>(base.client_lane_failures),
-              static_cast<unsigned long>(base.spurious));
-  std::printf("%-10s %12lu %10lu %10lu %10lu %10lu %10lu\n", "faulted",
-              static_cast<unsigned long>(faulted.window_rpcs),
-              static_cast<unsigned long>(faulted.ok),
-              static_cast<unsigned long>(faulted.fail),
-              static_cast<unsigned long>(faulted.retries),
-              static_cast<unsigned long>(faulted.client_lane_failures),
-              static_cast<unsigned long>(faulted.spurious));
-  std::printf("recovery: %.1f%% of fault-free window throughput\n",
-              recovery * 100.0);
-  if (recovery_ns >= 0) {
-    std::printf("recovery time: %.1f us from kill to within 1%% of baseline\n",
-                static_cast<double>(recovery_ns) / 1e3);
-  } else {
-    std::printf("recovery time: never reached 99%% of baseline\n");
-  }
-  std::printf("lanes at end: %lu healthy, %lu quarantined, %lu reconnecting, "
-              "%lu retired; %lu reconnects\n",
-              static_cast<unsigned long>(faulted.lanes.healthy),
-              static_cast<unsigned long>(faulted.lanes.quarantined),
-              static_cast<unsigned long>(faulted.lanes.reconnecting),
-              static_cast<unsigned long>(faulted.lanes.retired),
-              static_cast<unsigned long>(faulted.lanes.reconnects));
-  std::printf("CSV,fault_recovery,baseline,%lu,%lu,%lu,%lu\n",
-              static_cast<unsigned long>(base.window_rpcs),
-              static_cast<unsigned long>(base.ok),
-              static_cast<unsigned long>(base.fail),
-              static_cast<unsigned long>(base.retries));
-  std::printf("CSV,fault_recovery,faulted,%lu,%lu,%lu,%lu\n",
-              static_cast<unsigned long>(faulted.window_rpcs),
-              static_cast<unsigned long>(faulted.ok),
-              static_cast<unsigned long>(faulted.fail),
-              static_cast<unsigned long>(faulted.retries));
+  const ClassResult& b = base.Class("echo");
+  const ClassResult& f = faulted.Class("echo");
+  std::printf("window rpcs: baseline %lu, faulted %lu (ok %lu, fail %lu)\n",
+              static_cast<unsigned long>(base_window),
+              static_cast<unsigned long>(faulted_window),
+              static_cast<unsigned long>(f.ok), static_cast<unsigned long>(f.fail));
+  std::printf("recovery: %.1f%% of fault-free window throughput, %.1f us from "
+              "kill to within 1%% of baseline (-1: never)\n",
+              recovery * 100.0, static_cast<double>(recovery_ns) / 1e3);
 
   JsonRow row;
-  row.Add("threads", threads)
-      .Add("lanes", lanes)
-      .Add("payload_bytes", payload)
-      .Add("sim_ms", static_cast<int64_t>(sim_span / kMillisecond))
-      .Add("timeout_us", static_cast<int64_t>(timeout / kMicrosecond))
-      .Add("reconnect", reconnect ? int64_t{1} : int64_t{0})
-      .Add("baseline_window_rpcs", base.window_rpcs)
-      .Add("faulted_window_rpcs", faulted.window_rpcs)
+  row.Add("threads", load.threads)
+      .Add("lanes", load.lanes)
+      .Add("payload_bytes", load.payload)
+      .Add("sim_ms", static_cast<int64_t>(base_s.measure / kMillisecond))
+      .Add("timeout_us", static_cast<int64_t>(cfg.rpc_timeout / kMicrosecond))
+      .Add("reconnect", cfg.lane_reconnect ? int64_t{1} : int64_t{0})
+      .Add("baseline_window_rpcs", base_window)
+      .Add("faulted_window_rpcs", faulted_window)
       .Add("recovery", recovery)
       .Add("recovery_time_ns", recovery_ns)
-      .Add("faulted_ok", faulted.ok)
-      .Add("faulted_fail", faulted.fail)
-      .Add("retries", faulted.retries)
-      .Add("failed_rpcs", faulted.failed_rpcs)
-      .Add("spurious_responses", faulted.spurious)
-      .Add("client_lane_failures", faulted.client_lane_failures)
-      .Add("server_lane_failures", faulted.server_lane_failures);
+      .Add("faulted_ok", f.ok)
+      .Add("faulted_fail", f.fail)
+      .Add("retries", faulted.ClientTotal(&ClientStats::retries))
+      .Add("failed_rpcs", faulted.ClientTotal(&ClientStats::failed_rpcs))
+      .Add("spurious_responses",
+           faulted.ClientTotal(&ClientStats::spurious_responses))
+      .Add("client_lane_failures", faulted.ClientTotal(&ClientStats::lane_failures))
+      .Add("server_lane_failures", faulted.ServerTotal(&ServerStats::lane_failures));
   faulted.lanes.AppendTo(&row, /*include_retired=*/true);
+  // The fault-free run's failure-path activity, which must all be zero.
+  row.Add("baseline_fail", b.fail)
+      .Add("baseline_retries", base.ClientTotal(&ClientStats::retries))
+      .Add("baseline_client_lane_failures",
+           base.ClientTotal(&ClientStats::lane_failures));
   json.Row(row);
-
-  // Contract checks: the baseline run must be failure-free, the faulted run
-  // must detect exactly one client lane failure and recover; with reconnect
-  // the lane must additionally come back (no quarantined lanes at the end).
-  bool pass = true;
-  if (base.fail != 0 || base.retries != 0 || base.client_lane_failures != 0) {
-    std::printf("FAIL: baseline run saw failure-path activity\n");
-    pass = false;
-  }
-  if (faulted.client_lane_failures != 1) {
-    std::printf("FAIL: expected exactly 1 client lane failure, saw %lu\n",
-                static_cast<unsigned long>(faulted.client_lane_failures));
-    pass = false;
-  }
-  if (recovery < min_recovery) {
-    std::printf("FAIL: recovery %.3f below threshold %.3f\n", recovery,
-                min_recovery);
-    pass = false;
-  }
-  if (reconnect) {
-    if (faulted.lanes.reconnects < 1) {
-      std::printf("FAIL: reconnect mode saw no lane reconnects\n");
-      pass = false;
-    }
-    if (faulted.lanes.quarantined != 0 || faulted.lanes.reconnecting != 0) {
-      std::printf("FAIL: %lu quarantined / %lu reconnecting lanes at end\n",
-                  static_cast<unsigned long>(faulted.lanes.quarantined),
-                  static_cast<unsigned long>(faulted.lanes.reconnecting));
-      pass = false;
-    }
-    if (recovery_ns < 0) {
-      std::printf("FAIL: throughput never returned to within 1%% of baseline\n");
-      pass = false;
-    }
-  }
-  std::printf("%s\n", pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  return 0;
 }
 
 }  // namespace

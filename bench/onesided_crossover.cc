@@ -13,7 +13,9 @@
 // wins on small read-mostly workloads (no server CPU, but two reads on the
 // wire); RPCs win once payloads amortize the round trip or writes dominate.
 // The bench reports the measured crossover payload per read ratio, and the
-// 64B/100%-read speedup that scripts/check_perf.py gates on.
+// 64B/100%-read speedup that bench/gates.json gates on. The world comes from
+// the scenario runner (bench/scenario.h) with the KV handlers in place of its
+// echo; the load loop below is this bench's own.
 //
 // Usage: onesided_crossover [--measure_ms=2] [--warmup_ms=1] [--keys=4096]
 //                           [--clients=8] [--threads=8] [--server_cores=2]
@@ -23,7 +25,7 @@
 #include <memory>
 #include <vector>
 
-#include "bench/bench_util.h"
+#include "bench/scenario.h"
 #include "src/common/histogram.h"
 #include "src/common/rand.h"
 #include "src/flock/flock.h"
@@ -164,35 +166,36 @@ struct RunConfig {
 
 CrossoverResult RunPath(const RunConfig& rc, uint32_t payload, int read_pct,
                         bool onesided) {
-  verbs::Cluster cluster(verbs::Cluster::Config{
-      .num_nodes = 1 + rc.clients, .cores_per_node = 16});
-  kv::KvStore store(cluster.mem(0), rc.keys, payload);
-  std::vector<uint8_t> value(payload);
-  for (uint64_t k = 0; k < rc.keys; ++k) {
-    std::memcpy(value.data(), &k, 8);
-    FLOCK_CHECK(store.Insert(k, value.data()));
-  }
-
-  FlockConfig config;
-  FlockRuntime server(cluster, 0, config);
-  server.RegisterHandler(kGetRpc, MakeGetHandler(&store));
-  server.RegisterHandler(kPutRpc, MakePutHandler(&store));
-  server.StartServer(rc.server_cores);
+  Scenario scenario;
+  scenario.clients = rc.clients;
+  scenario.cores_per_node = 16;
+  scenario.server_cores = rc.server_cores;
+  std::unique_ptr<kv::KvStore> store;
+  World world(scenario, [&](FlockRuntime& server) {
+    store = std::make_unique<kv::KvStore>(server.cluster().mem(0), rc.keys,
+                                          payload);
+    std::vector<uint8_t> value(payload);
+    for (uint64_t k = 0; k < rc.keys; ++k) {
+      std::memcpy(value.data(), &k, 8);
+      FLOCK_CHECK(store->Insert(k, value.data()));
+    }
+    server.RegisterHandler(kGetRpc, MakeGetHandler(store.get()));
+    server.RegisterHandler(kPutRpc, MakePutHandler(store.get()));
+  });
+  verbs::Cluster& cluster = world.cluster();
 
   Shared shared;
-  std::vector<std::unique_ptr<FlockRuntime>> clients;
   std::vector<std::unique_ptr<kv::OneSidedReader>> readers;
   std::vector<std::unique_ptr<std::vector<RemoteMr>>> client_mrs;
   uint64_t seed = 0x9e3779b97f4a7c15ULL ^ (payload * 131 + read_pct);
   uint64_t total_reads = 0;  // denominator for onesided_frac (set below)
   for (int c = 0; c < rc.clients; ++c) {
-    clients.push_back(std::make_unique<FlockRuntime>(cluster, 1 + c, config));
-    clients.back()->StartClient();
+    FlockRuntime& client = world.client(1 + c);
     Connection* conn =
-        clients.back()->Connect(server, static_cast<uint32_t>(rc.threads));
+        client.Connect(world.server(0), static_cast<uint32_t>(rc.threads));
     auto mrs = std::make_unique<std::vector<RemoteMr>>();
     if (onesided) {
-      for (const auto& span : store.spans()) {
+      for (const auto& span : store->spans()) {
         mrs->push_back(conn->AttachMreg(span.addr, span.length));
       }
     }
@@ -208,7 +211,7 @@ CrossoverResult RunPath(const RunConfig& rc, uint32_t payload, int read_pct,
         // time than the measured window itself.
         for (uint64_t k = 0; k < rc.keys; ++k) {
           uint64_t addr = 0;
-          FLOCK_CHECK(store.Get(k, nullptr, nullptr, &addr));
+          FLOCK_CHECK(store->Get(k, nullptr, nullptr, &addr));
           for (const RemoteMr& mr : *mrs) {
             if (addr >= mr.addr && addr + 8 + payload <= mr.addr + mr.length) {
               reader->LearnAddr(k, addr, mr);
@@ -217,9 +220,8 @@ CrossoverResult RunPath(const RunConfig& rc, uint32_t payload, int read_pct,
           }
         }
       }
-      cluster.sim().Spawn(Worker(&cluster, conn,
-                                 clients.back()->CreateThread(t % 14), reader,
-                                 mrs.get(), rc.keys, payload, read_pct,
+      cluster.sim().Spawn(Worker(&cluster, conn, client.CreateThread(t % 14),
+                                 reader, mrs.get(), rc.keys, payload, read_pct,
                                  SplitMix64(seed), &shared));
     }
     client_mrs.push_back(std::move(mrs));

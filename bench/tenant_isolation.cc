@@ -6,7 +6,7 @@
 //
 // Profiles, all over identical victim schedules:
 //   * solo       — the victim runs alone; its p50/p99 and throughput are the
-//                  baseline every gate below compares against.
+//                  baseline every gate compares against.
 //   * hotloop    — 8 attacker threads in a closed loop of small RPCs, no
 //                  think time: a classic credit/CPU flood.
 //   * oversized  — 4 attacker threads hammering near-max payloads: a byte
@@ -17,30 +17,19 @@
 //   * open       — hotloop again with tenancy OFF: the unprotected reference,
 //                  reported (and written to JSON) but not gated.
 //
-// Every gated profile runs twice and must produce identical fingerprints
-// (determinism gate). Gates: victim p99 under each attack stays within
-// --max-p99-ratio of solo (default 2x), victim throughput stays above
-// --min-tput-frac of solo (default 0.8), no victim RPC ever fails, the
-// attacker still makes progress (isolation must not mean starvation), the
-// flood profiles actually engage the throttle, and after teardown the
-// registry holds zero live connections/lanes for both tenants with zero
-// unknown-tenant rejects.
+// Every gated profile runs twice and its row carries both runs' trace hashes.
+// bench/gates.json holds the gates: victim p99 and throughput relative to
+// solo, no failed victim RPC, attacker progress (isolation must not mean
+// starvation), the throttle engaged by the floods, zero unknown-tenant
+// rejects and zero admission accounting left after teardown.
 //
 // Usage:
 //   tenant_isolation [--rpcs=1500] [--victim-threads=2] [--think-us=15]
-//                    [--payload=64] [--max-p99-ratio=2.0]
-//                    [--min-tput-frac=0.8] [--json=BENCH_tenant_isolation.json]
-#include <algorithm>
+//                    [--payload=64] [--json=BENCH_tenant_isolation.json]
 #include <cstdint>
-#include <cstring>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "bench/bench_util.h"
-#include "src/ctrl/control_plane.h"
-#include "src/flock/flock.h"
-#include "src/tenant/tenant.h"
+#include "bench/scenario.h"
 
 namespace flock::bench {
 namespace {
@@ -50,458 +39,183 @@ constexpr tenant::TenantId kAttacker = 2;
 
 enum class Attack { kNone, kHotLoop, kOversized, kChurn };
 
-struct IsoParams {
-  int rpcs = 1500;  // per victim thread
-  int victim_threads = 2;
-  Nanos think = 15 * kMicrosecond;
-  uint32_t payload = 64;
-  Attack attack = Attack::kNone;
-  bool tenancy = true;
-};
-
-struct IsoResult {
-  uint64_t victim_ok = 0;
-  uint64_t victim_fail = 0;
-  uint64_t attacker_ok = 0;
-  uint64_t attacker_fail = 0;
-  uint64_t attacker_cycles = 0;  // churn: completed connect->burst->close
-  int64_t p50 = -1;
-  int64_t p99 = -1;
-  double victim_rps = 0;
-  Nanos span = 0;  // start of victim traffic to its last completion
-  // Tenancy census at end of run (before the world is torn down).
-  uint64_t attacker_throttle_events = 0;
-  uint64_t attacker_quota_stalls = 0;
-  uint64_t attacker_credit_stalls = 0;
-  uint64_t unknown_rejects = 0;
-  uint32_t victim_live_conns = 0;
-  uint32_t victim_live_lanes = 0;
-  uint32_t attacker_live_conns = 0;
-  uint32_t attacker_live_lanes = 0;
-  uint64_t fingerprint = 0;
-};
-
-struct IsoShared {
-  sim::Simulator* sim = nullptr;
-  const IsoParams* p = nullptr;
-  IsoResult* r = nullptr;
-  bool stop = false;  // raised once every victim thread finished
-  int victims_done = 0;
-  Nanos last_victim_done = 0;
-  std::vector<int64_t>* latencies = nullptr;
-};
-
-sim::Proc VictimLoop(IsoShared& sh, Connection* conn, FlockThread* thread,
-                     size_t slot) {
-  const IsoParams& p = *sh.p;
-  std::vector<uint8_t> payload(p.payload, 0x42);
-  std::vector<uint8_t> resp;
-  for (int i = 0; i < p.rpcs; ++i) {
-    const Nanos t0 = sh.sim->Now();
-    if (co_await conn->Call(*thread, 1, payload.data(), p.payload, &resp)) {
-      sh.r->victim_ok += 1;
-      (*sh.latencies)[slot * static_cast<size_t>(p.rpcs) +
-                      static_cast<size_t>(i)] =
-          static_cast<int64_t>(sh.sim->Now() - t0);
-    } else {
-      sh.r->victim_fail += 1;
-    }
-    co_await sim::Delay(*sh.sim, p.think);
+// Node 0 serves, node 1 runs the victim, node 2 the attacker.
+Scenario Profile(const Flags& flags, Attack attack, bool tenancy) {
+  Scenario s;
+  s.clients = 2;
+  s.cores_per_node = 16;
+  s.server_cfg.tenancy = tenancy;
+  s.server_cfg.qp_recycling = true;  // churn rides the shell pools
+  s.client_cfg = s.server_cfg;
+  s.handler_cpu = 200;
+  // Policies are registered identically in every tenancy profile (including
+  // solo), so the victim's weighted share of the window pool is the same
+  // everywhere and solo-vs-attacked comparisons isolate the attacker's
+  // traffic, not a registry delta.
+  if (tenancy) {
+    s.tenants.emplace_back(
+        kVictim, tenant::TenantPolicy{.weight = 4, .max_lanes = 8,
+                                      .max_connections = 4});
+    s.tenants.emplace_back(
+        kAttacker, tenant::TenantPolicy{.weight = 1, .credit_budget = 64,
+                                        .byte_quota = 16 * 1024,
+                                        .max_lanes = 4, .max_connections = 2});
   }
-  sh.victims_done += 1;
-  sh.last_victim_done = sh.sim->Now();
-}
-
-// hotloop / oversized: closed loop, no think time, until the victim is done.
-sim::Proc FloodAttacker(IsoShared& sh, Connection* conn, FlockThread* thread,
-                        uint32_t payload_bytes) {
-  std::vector<uint8_t> payload(payload_bytes, 0xAB);
-  std::vector<uint8_t> resp;
-  while (!sh.stop) {
-    if (co_await conn->Call(*thread, 1, payload.data(), payload_bytes, &resp)) {
-      sh.r->attacker_ok += 1;
-    } else {
-      sh.r->attacker_fail += 1;
-    }
-  }
-}
-
-// churn: connect -> small burst -> disconnect, in a loop. Exercises admission
-// and the disconnect/recycling path while the victim runs.
-sim::Proc ChurnAttacker(IsoShared& sh, FlockRuntime& rt, FlockThread* thread,
-                        int server_node) {
-  std::vector<uint8_t> payload(64, 0xAB);
-  std::vector<uint8_t> resp;
-  while (!sh.stop) {
-    Connection* conn = co_await rt.ConnectAsync(server_node, 4, kAttacker);
-    if (conn == nullptr) {
-      co_await sim::Delay(*sh.sim, 10 * kMicrosecond);
-      continue;
-    }
-    for (int i = 0; i < 16 && !sh.stop; ++i) {
-      if (co_await conn->Call(*thread, 1, payload.data(), 64, &resp)) {
-        sh.r->attacker_ok += 1;
-      } else {
-        sh.r->attacker_fail += 1;
-      }
-    }
-    // Step off the dispatcher's stack before closing (see conn_storm).
-    co_await sim::Delay(*sh.sim, 1 * kMicrosecond);
-    rt.CloseConnection(conn);
-    sh.r->attacker_cycles += 1;
-  }
-}
-
-IsoResult RunProfile(const IsoParams& p, JsonDump* tenant_rows_json) {
-  verbs::Cluster::Config cc;
-  cc.num_nodes = 3;  // 0 = server, 1 = victim, 2 = attacker
-  cc.cores_per_node = 16;
-  verbs::Cluster cluster(cc);
-  ctrl::ControlPlane& cp = ctrl::ControlPlane::For(cluster);
-
-  // Policies are registered identically in every profile (including solo), so
-  // the victim's weighted share of the window pool is the same everywhere and
-  // solo-vs-attacked comparisons isolate the attacker's traffic, not a
-  // registry delta.
-  if (p.tenancy) {
-    tenant::TenantPolicy victim;
-    victim.weight = 4;
-    victim.max_lanes = 8;
-    victim.max_connections = 4;
-    cp.tenants().Register(kVictim, victim);
-    tenant::TenantPolicy attacker;
-    attacker.weight = 1;
-    attacker.credit_budget = 64;
-    attacker.byte_quota = 16 * 1024;
-    attacker.max_lanes = 4;
-    attacker.max_connections = 2;
-    cp.tenants().Register(kAttacker, attacker);
-  }
-
-  FlockConfig cfg;
-  cfg.tenancy = p.tenancy;
-  cfg.qp_recycling = true;  // churn rides the shell pools
-  FlockRuntime server(cluster, 0, cfg);
-  server.RegisterHandler(1, [](const uint8_t* req, uint32_t req_len,
-                               uint8_t* resp, uint32_t, Nanos* cpu) -> uint32_t {
-    *cpu = 200;
-    std::memcpy(resp, req, req_len);
-    return req_len;
-  });
-  server.StartServer(4);
-
-  FlockRuntime victim_rt(cluster, 1, cfg);
-  victim_rt.StartClient();
-  FlockRuntime attacker_rt(cluster, 2, cfg);
-  attacker_rt.StartClient();
-
-  IsoResult r;
-  std::vector<int64_t> latencies(
-      static_cast<size_t>(p.victim_threads) * static_cast<size_t>(p.rpcs), -1);
-  IsoShared sh;
-  sh.sim = &cluster.sim();
-  sh.p = &p;
-  sh.r = &r;
-  sh.latencies = &latencies;
-
-  Connection* victim_conn =
-      victim_rt.Connect(server, 4, p.tenancy ? kVictim : tenant::kDefaultTenant);
-  for (int t = 0; t < p.victim_threads; ++t) {
-    cluster.sim().Spawn(VictimLoop(sh, victim_conn, victim_rt.CreateThread(t),
-                                   static_cast<size_t>(t)),
-                        /*node=*/1);
-  }
-
-  Connection* attacker_conn = nullptr;
-  const tenant::TenantId atk_id =
-      p.tenancy ? kAttacker : tenant::kDefaultTenant;
-  switch (p.attack) {
+  const int rpcs = static_cast<int>(flags.Int("rpcs", 1500));
+  const Nanos think = flags.Int("think-us", 15) * kMicrosecond;
+  s.loads.push_back(
+      Load{.name = "victim",
+           .threads = static_cast<int>(flags.Int("victim-threads", 2)),
+           .lanes = 4,
+           .tenant = tenancy ? kVictim : tenant::kDefaultTenant,
+           .payload = static_cast<uint32_t>(flags.Int("payload", 64)),
+           .think = think,
+           .calls = rpcs});
+  const tenant::TenantId atk = tenancy ? kAttacker : tenant::kDefaultTenant;
+  Load attacker{.name = "attacker", .first_node = 2, .lanes = 4, .tenant = atk};
+  switch (attack) {
     case Attack::kNone:
       break;
     case Attack::kHotLoop:
-      attacker_conn = attacker_rt.Connect(server, 4, atk_id);
-      for (int t = 0; t < 8; ++t) {
-        cluster.sim().Spawn(
-            FloodAttacker(sh, attacker_conn, attacker_rt.CreateThread(t), 64),
-            /*node=*/2);
-      }
+      attacker.threads = 8;
+      s.loads.push_back(attacker);
       break;
     case Attack::kOversized:
-      attacker_conn = attacker_rt.Connect(server, 4, atk_id);
-      for (int t = 0; t < 4; ++t) {
-        cluster.sim().Spawn(FloodAttacker(sh, attacker_conn,
-                                          attacker_rt.CreateThread(t), 4096),
-                            /*node=*/2);
-      }
+      attacker.threads = 4;
+      attacker.payload = 4096;
+      s.loads.push_back(attacker);
       break;
     case Attack::kChurn:
-      for (int t = 0; t < 4; ++t) {
-        cluster.sim().Spawn(
-            ChurnAttacker(sh, attacker_rt, attacker_rt.CreateThread(t), 0),
-            /*node=*/2);
-      }
+      attacker.kind = Load::Kind::kSessions;
+      attacker.threads = 4;
+      attacker.calls = 16;
+      s.loads.push_back(attacker);
       break;
   }
-
-  // Run until the victim finishes its fixed schedule; the cap only trips if
-  // isolation failed badly enough to wedge the victim.
-  const Nanos cap =
-      static_cast<Nanos>(p.rpcs) * (p.think + 1 * kMillisecond);
-  while (sh.victims_done < p.victim_threads && cluster.sim().Now() < cap) {
-    cluster.sim().RunFor(1 * kMillisecond);
-  }
-  sh.stop = true;
-  cluster.sim().RunFor(2 * kMillisecond);  // attackers drain their last call
-
-  // Orderly teardown while the world is still up: both tenants' admission
-  // accounting must return to zero.
-  victim_rt.CloseConnection(victim_conn);
-  if (attacker_conn != nullptr) {
-    attacker_rt.CloseConnection(attacker_conn);
-  }
-  cluster.sim().RunFor(1 * kMillisecond);
-
-  std::vector<int64_t> sorted;
-  for (int64_t l : latencies) {
-    if (l >= 0) {
-      sorted.push_back(l);
-    }
-  }
-  std::sort(sorted.begin(), sorted.end());
-  if (!sorted.empty()) {
-    r.p50 = sorted[sorted.size() / 2];
-    r.p99 = sorted[sorted.size() * 99 / 100];
-  }
-  r.span = sh.last_victim_done;
-  r.victim_rps = r.span == 0 ? 0
-                             : static_cast<double>(r.victim_ok) * 1e9 /
-                                   static_cast<double>(r.span);
-  if (p.tenancy) {
-    const tenant::TenantRegistry& reg = cp.tenants();
-    if (const tenant::TenantCounters* c = reg.CountersFor(kAttacker)) {
-      r.attacker_throttle_events = c->throttle_events;
-      r.attacker_quota_stalls = c->quota_stalls;
-      r.attacker_credit_stalls = c->credit_stalls;
-    }
-    r.unknown_rejects = reg.unknown_rejects();
-    r.victim_live_conns = reg.LiveConnections(kVictim);
-    r.victim_live_lanes = reg.LiveLanes(kVictim);
-    r.attacker_live_conns = reg.LiveConnections(kAttacker);
-    r.attacker_live_lanes = reg.LiveLanes(kAttacker);
-    if (tenant_rows_json != nullptr) {
-      AppendTenantRows(reg,
-                       static_cast<double>(cluster.sim().Now()) / 1e9,
-                       tenant_rows_json);
-    }
-  }
-
-  TraceHash hash;
-  for (int64_t l : latencies) {
-    hash.Mix(static_cast<uint64_t>(l));
-  }
-  hash.Mix(r.victim_ok)
-      .Mix(r.victim_fail)
-      .Mix(r.attacker_ok)
-      .Mix(r.attacker_fail)
-      .Mix(r.attacker_cycles)
-      .Mix(static_cast<uint64_t>(r.span))
-      .Mix(r.attacker_throttle_events);
-  r.fingerprint = hash.value();
-  return r;
+  // Run until the victim finishes its fixed schedule (the cap only trips if
+  // isolation failed badly enough to wedge it), let the attackers drain their
+  // last call, then tear down in order so both tenants' admission accounting
+  // must return to zero.
+  s.cap = static_cast<Nanos>(rpcs) * (think + 1 * kMillisecond);
+  s.drain = 2 * kMillisecond;
+  return s;
 }
 
-void PrintRow(const char* name, const IsoResult& r) {
-  std::printf("%-10s %9lu %6lu %10.1f %10.1f %10.0f %9lu %8lu %8lu\n", name,
-              static_cast<unsigned long>(r.victim_ok),
-              static_cast<unsigned long>(r.victim_fail),
-              static_cast<double>(r.p50) / 1e3,
-              static_cast<double>(r.p99) / 1e3, r.victim_rps,
-              static_cast<unsigned long>(r.attacker_ok),
-              static_cast<unsigned long>(r.attacker_throttle_events),
-              static_cast<unsigned long>(r.attacker_quota_stalls +
-                                         r.attacker_credit_stalls));
-  std::printf("CSV,tenant_isolation,%s,%lu,%ld,%ld,%.0f,%lu\n", name,
-              static_cast<unsigned long>(r.victim_ok),
-              static_cast<long>(r.p50), static_cast<long>(r.p99), r.victim_rps,
-              static_cast<unsigned long>(r.attacker_ok));
-}
+struct Victim {
+  int64_t p50 = -1;
+  int64_t p99 = -1;
+  double rps = 0;
 
-void AddRow(JsonDump* json, const char* name, const IsoParams& p,
-            const IsoResult& r, const IsoResult& solo) {
+  explicit Victim(const ClassResult& v)
+      : p50(ExactPercentile(v.call_ns, 50)),
+        p99(ExactPercentile(v.call_ns, 99)),
+        rps(v.last_done == 0 ? 0
+                             : static_cast<double>(v.ok) * 1e9 /
+                                   static_cast<double>(v.last_done)) {}
+};
+
+void AddRow(JsonDump* json, const char* name, const Scenario& s,
+            const ScenarioResult& r, const Victim& solo,
+            const ScenarioResult* rerun) {
+  static const ClassResult kNoAttacker;
+  const ClassResult& v = r.Class("victim");
+  const ClassResult& a = s.loads.size() > 1 ? r.Class("attacker") : kNoAttacker;
+  const Victim victim(v);
+  const TenantCensus* atk = r.Tenant(kAttacker);
+  const tenant::TenantCounters atk_counters =
+      atk != nullptr ? atk->counters : tenant::TenantCounters{};
+  uint64_t live_admissions = 0;
+  for (const TenantCensus& t : r.tenants) {
+    live_admissions += t.live_connections + t.live_lanes;
+  }
+  TraceHash fingerprint;
+  for (const int64_t l : v.call_ns) {
+    fingerprint.Mix(static_cast<uint64_t>(l));
+  }
+  fingerprint.Mix(v.ok)
+      .Mix(v.fail)
+      .Mix(a.ok)
+      .Mix(a.fail)
+      .Mix(a.sessions)
+      .Mix(static_cast<uint64_t>(v.last_done))
+      .Mix(atk_counters.throttle_events);
+  std::printf("%-10s victim %lu ok / %lu fail, p50 %.1f us, p99 %.1f us, "
+              "%.0f rps; attacker %lu ok, %lu throttles\n",
+              name, static_cast<unsigned long>(v.ok),
+              static_cast<unsigned long>(v.fail),
+              static_cast<double>(victim.p50) / 1e3,
+              static_cast<double>(victim.p99) / 1e3, victim.rps,
+              static_cast<unsigned long>(a.ok),
+              static_cast<unsigned long>(atk_counters.throttle_events));
+
+  const Load& load = s.loads.front();
   JsonRow row;
   row.Add("config", name)
-      .Add("tenancy", p.tenancy ? 1 : 0)
-      .Add("victim_threads", p.victim_threads)
-      .Add("rpcs_per_thread", p.rpcs)
-      .Add("think_us", static_cast<int64_t>(p.think / kMicrosecond))
-      .Add("payload_bytes", p.payload)
-      .Add("victim_ok", r.victim_ok)
-      .Add("victim_fail", r.victim_fail)
-      .Add("victim_p50_ns", r.p50)
-      .Add("victim_p99_ns", r.p99)
-      .Add("victim_rps", r.victim_rps)
+      .Add("tenancy", s.server_cfg.tenancy ? 1 : 0)
+      .Add("victim_threads", load.threads)
+      .Add("rpcs_per_thread", load.calls)
+      .Add("think_us", static_cast<int64_t>(load.think / kMicrosecond))
+      .Add("payload_bytes", load.payload)
+      .Add("victim_ok", v.ok)
+      .Add("victim_fail", v.fail)
+      .Add("victim_p50_ns", victim.p50)
+      .Add("victim_p99_ns", victim.p99)
+      .Add("victim_rps", victim.rps)
       .Add("p99_ratio_vs_solo",
-           solo.p99 > 0 ? static_cast<double>(r.p99) /
+           solo.p99 > 0 ? static_cast<double>(victim.p99) /
                               static_cast<double>(solo.p99)
                         : 0.0)
-      .Add("tput_frac_vs_solo",
-           solo.victim_rps > 0 ? r.victim_rps / solo.victim_rps : 0.0)
-      .Add("attacker_ok", r.attacker_ok)
-      .Add("attacker_fail", r.attacker_fail)
-      .Add("attacker_cycles", r.attacker_cycles)
-      .Add("attacker_throttle_events", r.attacker_throttle_events)
-      .Add("attacker_quota_stalls", r.attacker_quota_stalls)
-      .Add("attacker_credit_stalls", r.attacker_credit_stalls)
-      .Add("unknown_rejects", r.unknown_rejects)
-      .Add("fingerprint", r.fingerprint);
+      .Add("tput_frac_vs_solo", solo.rps > 0 ? victim.rps / solo.rps : 0.0)
+      .Add("attacker_ok", a.ok)
+      .Add("attacker_fail", a.fail)
+      .Add("attacker_cycles", a.sessions)
+      .Add("attacker_throttle_events", atk_counters.throttle_events)
+      .Add("attacker_quota_stalls", atk_counters.quota_stalls)
+      .Add("attacker_credit_stalls", atk_counters.credit_stalls)
+      .Add("unknown_rejects", r.unknown_tenant_rejects)
+      .Add("fingerprint", fingerprint.value())
+      .Add("live_admissions", live_admissions)
+      .Add("trace_hash", std::to_string(r.trace_hash));
+  if (rerun != nullptr) {
+    row.Add("trace_hash_rerun", std::to_string(rerun->trace_hash));
+  }
   json->Row(row);
-}
-
-// Gates shared by every tenancy-on profile.
-bool CheckCommon(const char* name, const IsoParams& p, const IsoResult& r) {
-  bool pass = true;
-  const uint64_t expected =
-      static_cast<uint64_t>(p.victim_threads) * static_cast<uint64_t>(p.rpcs);
-  if (r.victim_ok != expected || r.victim_fail != 0) {
-    std::printf("FAIL: %s victim completed %lu/%lu with %lu failures\n", name,
-                static_cast<unsigned long>(r.victim_ok),
-                static_cast<unsigned long>(expected),
-                static_cast<unsigned long>(r.victim_fail));
-    pass = false;
-  }
-  if (r.unknown_rejects != 0) {
-    std::printf("FAIL: %s saw %lu unknown-tenant rejects\n", name,
-                static_cast<unsigned long>(r.unknown_rejects));
-    pass = false;
-  }
-  if (r.victim_live_conns != 0 || r.victim_live_lanes != 0 ||
-      r.attacker_live_conns != 0 || r.attacker_live_lanes != 0) {
-    std::printf("FAIL: %s leaked accounting: victim %u conns/%u lanes, "
-                "attacker %u conns/%u lanes\n",
-                name, r.victim_live_conns, r.victim_live_lanes,
-                r.attacker_live_conns, r.attacker_live_lanes);
-    pass = false;
-  }
-  return pass;
-}
-
-bool CheckIsolation(const char* name, const IsoResult& r, const IsoResult& solo,
-                    double max_p99_ratio, double min_tput_frac,
-                    bool expect_throttle) {
-  bool pass = true;
-  const double ratio = solo.p99 > 0 ? static_cast<double>(r.p99) /
-                                          static_cast<double>(solo.p99)
-                                    : 0.0;
-  const double frac =
-      solo.victim_rps > 0 ? r.victim_rps / solo.victim_rps : 0.0;
-  if (ratio > max_p99_ratio) {
-    std::printf("FAIL: %s victim p99 %.1f us is %.2fx solo (bound %.2fx)\n",
-                name, static_cast<double>(r.p99) / 1e3, ratio, max_p99_ratio);
-    pass = false;
-  }
-  if (frac < min_tput_frac) {
-    std::printf("FAIL: %s victim throughput %.0f rps is %.2fx solo "
-                "(bound %.2fx)\n",
-                name, r.victim_rps, frac, min_tput_frac);
-    pass = false;
-  }
-  if (r.attacker_ok == 0) {
-    std::printf("FAIL: %s starved the attacker outright\n", name);
-    pass = false;
-  }
-  if (expect_throttle && r.attacker_throttle_events == 0) {
-    std::printf("FAIL: %s never engaged the throttle\n", name);
-    pass = false;
-  }
-  return pass;
 }
 
 int Main(int argc, char** argv) {
   Flags flags(argc, argv);
-  IsoParams base;
-  base.rpcs = static_cast<int>(flags.Int("rpcs", 1500));
-  base.victim_threads = static_cast<int>(flags.Int("victim-threads", 2));
-  base.think = flags.Int("think-us", 15) * kMicrosecond;
-  base.payload = static_cast<uint32_t>(flags.Int("payload", 64));
-  const double max_p99_ratio = flags.Double("max-p99-ratio", 2.0);
-  const double min_tput_frac = flags.Double("min-tput-frac", 0.8);
   JsonDump json(flags.Str("json", "BENCH_tenant_isolation.json"),
                 "tenant_isolation");
-
   PrintBanner("tenant_isolation: victim vs misbehaving tenants");
-  std::printf("victim: %d threads x %d RPCs, %ld us think, %u B payload\n",
-              base.victim_threads, base.rpcs,
-              static_cast<long>(base.think / kMicrosecond), base.payload);
 
-  struct Profile {
-    const char* name;
-    Attack attack;
-    bool expect_throttle;
+  const Scenario solo_s = Profile(flags, Attack::kNone, true);
+  const ScenarioResult solo = RunScenario(solo_s);
+  const ScenarioResult solo2 = RunScenario(solo_s);
+  const Victim solo_victim(solo.Class("victim"));
+  AddRow(&json, "solo", solo_s, solo, solo_victim, &solo2);
+
+  const std::pair<const char*, Attack> kAttacks[] = {
+      {"hotloop", Attack::kHotLoop},
+      {"oversized", Attack::kOversized},
+      {"churn", Attack::kChurn},
   };
-  const Profile kProfiles[] = {
-      {"hotloop", Attack::kHotLoop, true},
-      {"oversized", Attack::kOversized, true},
-      {"churn", Attack::kChurn, false},
-  };
-
-  // Solo baseline (run twice: determinism gate applies to it too).
-  IsoParams solo_p = base;
-  const IsoResult solo = RunProfile(solo_p, nullptr);
-  const IsoResult solo2 = RunProfile(solo_p, nullptr);
-
-  std::printf("%-10s %9s %6s %10s %10s %10s %9s %8s %8s\n", "config", "v_ok",
-              "v_fail", "p50_us", "p99_us", "victim_rps", "atk_ok", "throttl",
-              "stalls");
-  PrintRow("solo", solo);
-  AddRow(&json, "solo", solo_p, solo, solo);
-
-  bool pass = CheckCommon("solo", solo_p, solo);
-  if (solo.fingerprint != solo2.fingerprint) {
-    std::printf("FAIL: solo runs diverged: %016lx vs %016lx\n",
-                static_cast<unsigned long>(solo.fingerprint),
-                static_cast<unsigned long>(solo2.fingerprint));
-    pass = false;
-  }
-
-  for (const Profile& prof : kProfiles) {
-    IsoParams p = base;
-    p.attack = prof.attack;
+  for (const auto& [name, attack] : kAttacks) {
+    const Scenario s = Profile(flags, attack, true);
+    const ScenarioResult r = RunScenario(s);
+    const ScenarioResult r2 = RunScenario(s);
     // The hotloop run's end-of-run tenant census goes into the JSON as the
     // representative per-tenant rows.
-    const bool dump_tenants = prof.attack == Attack::kHotLoop;
-    const IsoResult r1 = RunProfile(p, dump_tenants ? &json : nullptr);
-    const IsoResult r2 = RunProfile(p, nullptr);
-    PrintRow(prof.name, r1);
-    AddRow(&json, prof.name, p, r1, solo);
-    pass = CheckCommon(prof.name, p, r1) && pass;
-    pass = CheckIsolation(prof.name, r1, solo, max_p99_ratio, min_tput_frac,
-                          prof.expect_throttle) &&
-           pass;
-    if (r1.fingerprint != r2.fingerprint) {
-      std::printf("FAIL: %s runs diverged: %016lx vs %016lx\n", prof.name,
-                  static_cast<unsigned long>(r1.fingerprint),
-                  static_cast<unsigned long>(r2.fingerprint));
-      pass = false;
+    if (attack == Attack::kHotLoop) {
+      r.AppendTenantRows(&json);
     }
+    AddRow(&json, name, s, r, solo_victim, &r2);
   }
 
   // Unprotected reference: same hotloop with tenancy off. Reported only — it
   // documents what the gates are protecting against.
-  IsoParams open_p = base;
-  open_p.attack = Attack::kHotLoop;
-  open_p.tenancy = false;
-  const IsoResult open = RunProfile(open_p, nullptr);
-  PrintRow("open", open);
-  AddRow(&json, "open", open_p, open, solo);
-  std::printf("p99 vs solo: protected hotloop within %.2fx budget, "
-              "unprotected %.2fx\n",
-              max_p99_ratio,
-              solo.p99 > 0 ? static_cast<double>(open.p99) /
-                                 static_cast<double>(solo.p99)
-                           : 0.0);
-
-  std::printf("%s\n", pass ? "PASS" : "FAIL");
-  return pass ? 0 : 1;
+  const Scenario open_s = Profile(flags, Attack::kHotLoop, false);
+  AddRow(&json, "open", open_s, RunScenario(open_s), solo_victim, nullptr);
+  return 0;
 }
 
 }  // namespace

@@ -85,21 +85,22 @@ sim::Co<PendingRpc*> StageRpc(ClientConnState& conn, FlockThread& thread,
   // one null check here and nothing else.
   if (conn.setup_cond != nullptr) {
     co_await EnsureLaneSetup(conn, thread);
-    if (conn.closed) {
-      // The deferred handshake was refused (tenancy admission control) or the
-      // handle was closed while we waited: fail the RPC immediately instead
-      // of parking it on a lane that will never be granted credits.
-      PendingRpc* failed = conn.client->rpc_pool.New();
-      failed->rpc_id = rpc_id;
-      failed->seq = thread.NextSeq();
-      failed->thread_id = thread.id();
-      failed->submitted_at = conn.env->sim().Now();
-      failed->completed_at = failed->submitted_at;
-      failed->ok = false;
-      conn.client->stats.failed_rpcs += 1;
-      failed->done_event.Fire(conn.env->sim());
-      co_return failed;
-    }
+  }
+  if (conn.closed) {
+    // The deferred handshake was refused (tenancy admission control), the
+    // server dropped the connection (server_gone), or the handle was closed
+    // while we waited: fail the RPC immediately instead of parking it on a
+    // lane that will never be granted credits.
+    PendingRpc* failed = conn.client->rpc_pool.New();
+    failed->rpc_id = rpc_id;
+    failed->seq = thread.NextSeq();
+    failed->thread_id = thread.id();
+    failed->submitted_at = conn.env->sim().Now();
+    failed->completed_at = failed->submitted_at;
+    failed->ok = false;
+    conn.client->stats.failed_rpcs += 1;
+    failed->done_event.Fire(conn.env->sim());
+    co_return failed;
   }
 
   ClientLane& lane = LaneFor(conn, thread);
@@ -327,10 +328,11 @@ sim::Proc Pump(ClientConnState& conn, ClientLane& lane) {
           requeued = true;  // queue is empty now: park at the loop top
           break;
         }
-        if (lane.failed()) {
-          // Quarantined with nowhere to migrate: drop the queued sends and
-          // release their waiters. The RPCs stay pending — the retry watchdog
-          // retransmits them (or fails them) on whatever lane survives.
+        if (lane.failed() || conn.server_gone) {
+          // Quarantined (or retired with its connection gone) with nowhere to
+          // migrate: drop the queued sends and release their waiters. The
+          // RPCs stay pending — the retry watchdog retransmits them (or fails
+          // them) on whatever lane survives.
           FLOCK_CHECK(config.rpc_timeout > 0)
               << "lane quarantined with rpc_timeout == 0: no retry watchdog "
                  "is running, so the dropped RPCs would pend forever; set "
@@ -507,10 +509,10 @@ sim::Co<verbs::WcStatus> SubmitMemOp(ClientConnState& conn, FlockThread& thread,
   // Deferred connection setup (DESIGN.md §13); see StageRpc.
   if (conn.setup_cond != nullptr) {
     co_await EnsureLaneSetup(conn, thread);
-    if (conn.closed) {
-      // Handshake refused (tenancy admission) or handle closed: fail fast.
-      co_return verbs::WcStatus::kQpError;
-    }
+  }
+  if (conn.closed) {
+    // Handshake refused, connection gone, or handle closed: fail fast.
+    co_return verbs::WcStatus::kQpError;
   }
   ClientLane& lane = LaneFor(conn, thread);
 

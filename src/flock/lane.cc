@@ -621,6 +621,16 @@ uint32_t HandleReconnectRequest(NodeEnv& env, ServerState& server,
     return reply.Reject(cw::RejectReason::kBadLane);
   }
   ServerLane& lane = *sender->lanes[req.lane_index];
+  // Only the handle this lane was wired to may revive it. Once a Leave has
+  // recycled a departed client's lanes, its conn_id can name a newer
+  // connection of the same node; the stale handle re-advertises client rings
+  // this lane does not write, and is told its connection is gone.
+  if (lane.remote_ring_addr != req.lane.resp_ring_addr ||
+      lane.remote_ring_rkey != req.lane.resp_ring_rkey ||
+      lane.ctrl_slot_remote_addr != req.lane.ctrl_slot_addr ||
+      lane.ctrl_slot_rkey != req.lane.ctrl_slot_rkey) {
+    return reply.Reject(cw::RejectReason::kBadConnId);
+  }
   if (lane.in_service) {
     // Mid-dispatch: the client retries after backoff rather than having its
     // rings re-based under the dispatcher.
@@ -898,8 +908,22 @@ sim::Proc ReconnectDaemon(ClientConnState& conn) {
     req.lane.qpn = fresh->qpn();
 
     ctrl::wire::ReconnectAccept accept;
+    cw::RejectReason reason = cw::RejectReason::kUnknown;
     if (!CallServer(conn, ctrl::wire::MsgType::kReconnectRequest, req,
-                    sizeof(req), ctrl::wire::DecodeReconnectAccept, &accept)) {
+                    sizeof(req), ctrl::wire::DecodeReconnectAccept, &accept,
+                    &reason)) {
+      if (reason == cw::RejectReason::kBadConnId ||
+          reason == cw::RejectReason::kBadLane) {
+        // The server holds no such connection any more: no retry can revive
+        // it. Close the handle (retiring every lane) and let the watchdog's
+        // next tick fail whatever is still pending.
+        conn.server_gone = true;
+        CloseClientConn(conn);
+        for (const auto& lane : conn.lanes) {
+          ExpireLaneDeadlines(conn, lane->index);
+        }
+        co_return;
+      }
       // Rejected (busy, membership, malformed): retry after backoff. The
       // orphaned QP is abandoned; QPs are simulation-cheap and never reused.
       SetLaneState(*victim, LaneState::kQuarantined);
@@ -1116,7 +1140,7 @@ void CloseClientConn(ClientConnState& conn) {
   // already dead) leaves reclamation to the dead-sender path, which
   // TearDownOneSender guards for.
   if (env.config->tenancy && !conn.handshake_pending &&
-      !conn.admission_rejected) {
+      !conn.admission_rejected && !conn.server_gone) {
     cw::DisconnectRequest req;
     req.client_node = env.node;
     req.conn_id = conn.conn_id;

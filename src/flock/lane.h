@@ -516,6 +516,11 @@ struct ClientConnState {
   // closed before it ever carried traffic, and StageRpc fails RPCs on it
   // instead of parking them on a lane that will never get credits.
   bool admission_rejected = false;
+  // The server refused a lane reconnect because it no longer holds this
+  // connection (a Leave tore its sender down and recycled the lanes, or a
+  // newer connection took the slot): the reconnect daemon closed the handle,
+  // and its RPCs fail instead of retrying.
+  bool server_gone = false;
 };
 
 // Server-role state of one node. Handler lookup is a linear scan:

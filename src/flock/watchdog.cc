@@ -35,7 +35,8 @@ sim::Proc Watchdog::Run(NodeEnv& env, ClientState& client) {
         });
       }
       for (PendingRpc* rpc : scratch) {
-        if (rpc->retries >= env.config->max_retries) {
+        // A connection the server dropped can never answer: fail, not retry.
+        if (rpc->retries >= env.config->max_retries || conn->server_gone) {
           FailPendingRpc(*conn, rpc);
         } else {
           RetryPendingRpc(*conn, rpc);

@@ -437,6 +437,67 @@ TEST(CtrlTest, LeaveReclaimsSenderAndRepartitionsAqp) {
   EXPECT_GE(cp.stats().joins, 1u);
 }
 
+struct RejoinCounts {
+  int v_ok = 0, v_fail = 0, h_ok = 0, h_fail = 0, f_ok = 0, f_fail = 0;
+  Connection::LaneStates victim_states;
+  uint64_t victim_reconnects = 0;
+};
+
+// LeaveReclaimsSenderAndRepartitionsAqp's world with the server recycling
+// lane shells: the Leave harvests the departed sender's lanes, so after the
+// rejoin the server no longer holds the victim's connection. With
+// `fresh_connect`, a second connection from the rejoined node takes the dead
+// sender slot (and its conn_id) right after the Join.
+RejoinCounts RunRecycledRejoin(bool fresh_connect) {
+  FlockConfig server_cfg;
+  server_cfg.max_active_qps = 2;
+  server_cfg.qp_recycling = true;
+  CtrlWorld world(/*nodes=*/3, server_cfg);
+  Connection* victim = world.clients[0]->Connect(*world.server, 2);
+  Connection* healthy = world.clients[1]->Connect(*world.server, 2);
+  RejoinCounts c;
+  world.cluster.sim().Spawn(EchoLoop(victim, world.clients[0]->CreateThread(0),
+                                     4000, &c.v_ok, &c.v_fail));
+  world.cluster.sim().Spawn(EchoLoop(healthy, world.clients[1]->CreateThread(0),
+                                     4000, &c.h_ok, &c.h_fail));
+  world.cluster.sim().RunFor(300 * kMicrosecond);
+  ctrl::ControlPlane& cp = ctrl::ControlPlane::For(world.cluster);
+  cp.Leave(/*node=*/1);
+  world.cluster.sim().RunFor(5 * kMillisecond);
+  cp.Join(/*node=*/1);
+  if (fresh_connect) {
+    Connection* fresh = world.clients[0]->Connect(*world.server, 2);
+    world.cluster.sim().Spawn(EchoLoop(fresh, world.clients[0]->CreateThread(1),
+                                       4000, &c.f_ok, &c.f_fail));
+  }
+  world.cluster.sim().RunFor(100 * kMillisecond);
+  c.victim_states = victim->CountLaneStates();
+  c.victim_reconnects = victim->lane_reconnects();
+  return c;
+}
+
+TEST(CtrlTest, RecycledLeaveRetiresTheStaleHandle) {
+  for (const bool fresh_connect : {false, true}) {
+    SCOPED_TRACE(fresh_connect ? "second connection after rejoin" : "rejoin only");
+    const RejoinCounts c = RunRecycledRejoin(fresh_connect);
+    // The server refuses the stale handle's reconnects as "connection gone";
+    // the daemon retires its lanes instead of retrying forever, so every
+    // call returns (the ones after the refusal fail fast).
+    EXPECT_EQ(c.v_ok + c.v_fail, 4000);
+    EXPECT_GT(c.v_fail, 0);
+    EXPECT_EQ(c.victim_states.retired, 2u);
+    EXPECT_EQ(c.victim_reconnects, 0u);
+    EXPECT_EQ(c.h_ok, 4000);
+    EXPECT_EQ(c.h_fail, 0) << "the healthy client must never be disturbed";
+    if (fresh_connect) {
+      // The stale handle never rewires the lanes of the connection that took
+      // its sender slot.
+      EXPECT_EQ(c.f_ok, 4000);
+      EXPECT_EQ(c.f_fail, 0);
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Determinism
 // ---------------------------------------------------------------------------
